@@ -15,14 +15,14 @@ test:
 # ---------------------------------------------------------------------
 # Snapshot gates
 #
-# Both gates are the same comparator invocation (lib/report/comparator,
-# one tolerance config: +15% time, +10% peak heap, 0.5s noise floor),
+# Both gates are the same `bench/main.exe --compare` invocation (one
+# tolerance config: +15% time, +10% peak heap, 0.5s noise floor),
 # parameterized by baseline snapshot, cell subset and delta file.
 # Override tolerances per call with TIME_TOL= / HEAP_TOL= /
 # HEAP_COMPONENT_TOL= (percent), e.g. `make bench-compare TIME_TOL=75
 # HEAP_TOL=25` on a noisy host.  HEAP_COMPONENT_TOL gates the per-
-# component census bytes (points-to sets, edge lists, ...) recorded in
-# schema-v4 snapshots; it only bites when both snapshots carry a census.
+# component census bytes (points-to sets, edge lists, ...) recorded per
+# cell; it only bites when both snapshots carry a census.
 # ---------------------------------------------------------------------
 
 TOLERANCE_FLAGS = $(if $(TIME_TOL),--time-tol $(TIME_TOL)) \
@@ -35,10 +35,10 @@ dune exec bench/main.exe -- --baseline $(1) --compare $(2) \
   --delta-md $(3) $(TOLERANCE_FLAGS)
 endef
 
-# The propagation grid carries both sequential and jobs=4 cells from
-# schema v5 on, so every regeneration and comparison must select the
-# same jobs spread — otherwise the parallel baseline cells read as
-# missing and the gate fails spuriously.
+# The propagation grid carries both sequential and jobs=4 cells, so
+# every regeneration and comparison must select the same jobs spread —
+# otherwise the parallel baseline cells read as missing and the gate
+# fails spuriously.
 PROP_JOBS = --jobs 1,4
 PROP_SUBSET = --benchmarks cyclic --analyses insens,1call,1obj,S-2obj+H \
 	$(PROP_JOBS)

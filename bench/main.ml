@@ -19,8 +19,7 @@
    against the committed snapshot, prints a per-cell delta report, and
    exits non-zero if any cell breaches the noise thresholds
    (`--time-tol` / `--heap-tol`, percent).  `--delta-md FILE` writes
-   the same report as a Markdown table.  PTA_BENCH_HANDICAP multiplies
-   every recorded time — a test hook for exercising the gate. *)
+   the same report as a Markdown table. *)
 
 module Ir = Pta_ir.Ir
 module Metrics = Pta_clients.Metrics
@@ -35,7 +34,6 @@ module Json = Pta_obs.Json
 module Run_stats = Pta_obs.Run_stats
 module Trace = Pta_obs.Trace
 module Snapshot = Pta_report.Bench_snapshot
-module Comparator = Pta_report.Comparator
 module Census = Pta_obs.Census
 module Registry = Pta_metrics.Registry
 
@@ -43,13 +41,6 @@ let timeout_s =
   match Sys.getenv_opt "PTA_BENCH_TIMEOUT" with
   | Some s -> float_of_string s
   | None -> 90.
-
-(* Test hook: multiplies every recorded cell time so the regression gate
-   can be exercised without actually slowing the solver down. *)
-let handicap =
-  match Sys.getenv_opt "PTA_BENCH_HANDICAP" with
-  | Some s -> float_of_string s
-  | None -> 1.
 
 (* The benchmark subset under test; `--benchmarks` narrows it. *)
 let selected_profiles = ref Profile.dacapo
@@ -80,35 +71,20 @@ let selected_analyses = ref analyses
    check. *)
 let selected_jobs = ref [ 1 ]
 
+(* What the tables and table1_stats.json need beyond the snapshot cell:
+   the first (instrumented) run's metrics, counters and trace profile,
+   or the solver's abort payload. *)
 type outcome =
-  | Done of Metrics.t * float * Run_stats.t * Trace.stat list
-      (* metrics, best (min-of-3) elapsed seconds, counters and trace profile of
-         the first run *)
+  | Done of Metrics.t * Run_stats.t * Trace.stat list
   | Timed_out of Pta_obs.Budget.abort
 
-let runs : (string * string * int, outcome) Hashtbl.t = Hashtbl.create 256
-
-(* Per-cell solve-time distributions: every timed run of a finished cell
-   observed into one exponential-bucket registry histogram (the shared
-   [Registry.time_buckets] ladder), serialised into the snapshot and from
-   there into bench-history ledger records.  Kept out of [outcome] so the
-   many pattern matches over it stay untouched. *)
-let cell_hists : (string * string * int, Snapshot.hist) Hashtbl.t =
+let runs : (string * string * int, Snapshot.cell * outcome) Hashtbl.t =
   Hashtbl.create 256
 
-(* Per-cell reachable-heap census of the instrumented run's solved
-   state, taken after the timed re-runs so its [Gc.full_major] cannot
-   perturb them.  Snapshot cells carry it as the schema-v4
-   [heap_components] block. *)
-let cell_census : (string * string * int, Census.component list) Hashtbl.t =
-  Hashtbl.create 256
-
-(* Domains the drain actually used per cell ([Solver.domains_used]) —
-   on a 1-core host or an OCaml 4.x runtime a jobs=4 request degrades,
-   and the snapshot must record what really ran. *)
-let cell_domains : (string * string * int, int) Hashtbl.t = Hashtbl.create 256
-
-let record_cell_hist key times =
+(* A cell's solve-time distribution: every timed run observed into one
+   exponential-bucket registry histogram (the shared
+   [Registry.time_buckets] ladder). *)
+let time_hist times =
   let reg = Registry.create () in
   let h =
     Registry.histogram reg ~buckets:Registry.time_buckets
@@ -116,14 +92,13 @@ let record_cell_hist key times =
       "pta_bench_cell_time_seconds"
   in
   List.iter (fun t -> if Float.is_finite t then Registry.observe h t) times;
-  Hashtbl.replace cell_hists key
-    (Snapshot.hist_of_buckets ~sum:(Registry.histogram_sum h)
-       (Registry.histogram_buckets h))
+  Snapshot.hist_of_buckets ~sum:(Registry.histogram_sum h)
+    (Registry.histogram_buckets h)
 
 let run_one ?(jobs = 1) profile analysis_name =
   let key = (profile.Profile.name, analysis_name, jobs) in
   match Hashtbl.find_opt runs key with
-  | Some o -> o
+  | Some r -> r
   | None ->
     let program = Workloads.program profile in
     (* Minimum of three timed runs.  The analysis is deterministic, so
@@ -148,9 +123,28 @@ let run_one ?(jobs = 1) profile analysis_name =
        drift 30%+ between a `table1` process and a `--compare` one. *)
     Gc.compact ();
     let trace = Trace.create ~limit:4096 () in
-    let outcome =
+    let cell ~timed_out ~time_s ~iterations ~nodes =
+      {
+        Snapshot.benchmark = profile.Profile.name;
+        analysis = analysis_name;
+        timed_out;
+        time_s;
+        iterations;
+        nodes = Some nodes;
+        peak_heap_words = None;
+        time_hist = None;
+        heap_components = [];
+        jobs;
+        domains = 1;
+      }
+    in
+    let result =
       match run_once ~collect:true ~trace () with
-      | Error (Driver.Timed_out { abort; _ }) -> Timed_out abort
+      | Error (Driver.Timed_out { abort; _ }) ->
+        ( cell ~timed_out:true ~time_s:abort.Pta_obs.Budget.elapsed_s
+            ~iterations:abort.Pta_obs.Budget.iterations
+            ~nodes:abort.Pta_obs.Budget.nodes,
+          Timed_out abort )
       | Error e -> Driver.report_and_exit e
       | Ok r1 ->
         let time = function
@@ -159,32 +153,43 @@ let run_one ?(jobs = 1) profile analysis_name =
         in
         let t2 = time (run_once ~collect:false ()) in
         let t3 = time (run_once ~collect:false ()) in
-        Hashtbl.replace cell_census key
-          (Solver.census r1.Driver.solver).Census.components;
-        Hashtbl.replace cell_domains key (Solver.domains_used r1.Driver.solver);
-        let best =
-          min r1.Driver.wall_time_s (min t2 t3) *. handicap
+        (* The census runs after the timed re-runs so its [Gc.full_major]
+           cannot perturb them, and before [Metrics.compute]. *)
+        let census = Solver.census r1.Driver.solver in
+        let stats = Option.get r1.Driver.stats in
+        let c =
+          cell ~timed_out:false
+            ~time_s:(min r1.Driver.wall_time_s (min t2 t3))
+            ~iterations:stats.Run_stats.iterations
+            ~nodes:stats.Run_stats.n_nodes
         in
-        record_cell_hist key
-          (List.map
-             (fun t -> t *. handicap)
-             [ r1.Driver.wall_time_s; t2; t3 ]);
-        Done
-          ( Metrics.compute r1.Driver.solver,
-            best,
-            Option.get r1.Driver.stats,
-            Trace.profile trace )
+        ( {
+            c with
+            Snapshot.peak_heap_words =
+              Option.map
+                (fun m -> m.Pta_obs.Memstats.peak_heap_words)
+                stats.Run_stats.memory;
+            time_hist = Some (time_hist [ r1.Driver.wall_time_s; t2; t3 ]);
+            heap_components = census.Census.components;
+            (* On a 1-core host or an OCaml 4.x runtime a jobs=4 request
+               degrades; the cell records what really ran. *)
+            domains = Solver.domains_used r1.Driver.solver;
+          },
+          Done
+            ( Metrics.compute r1.Driver.solver,
+              stats,
+              Trace.profile trace ) )
     in
-    Hashtbl.replace runs key outcome;
+    Hashtbl.replace runs key result;
     let shown =
       if jobs = 1 then analysis_name
       else Printf.sprintf "%s@j%d" analysis_name jobs
     in
-    (match outcome with
-    | Done (_, s, _, _) ->
+    (match result with
+    | c, Done _ ->
       Printf.eprintf "  [bench] %-10s %-10s %6.2fs\n%!" profile.Profile.name
-        shown s
-    | Timed_out abort ->
+        shown c.Snapshot.time_s
+    | _, Timed_out abort ->
       Printf.eprintf
         "  [bench] %-10s %-10s TIMEOUT (>%.0fs; %.1fs elapsed, %d iterations, \
          %d nodes)\n\
@@ -192,7 +197,7 @@ let run_one ?(jobs = 1) profile analysis_name =
         profile.Profile.name shown timeout_s
         abort.Pta_obs.Budget.elapsed_s abort.Pta_obs.Budget.iterations
         abort.Pta_obs.Budget.nodes);
-    outcome
+    result
 
 (* A per-cell stats record for table1_stats.json: the Run_stats bundle of
    finished cells, the abort payload of timed-out ones. *)
@@ -215,14 +220,14 @@ let trace_summary_json stats =
        stats)
 
 let cell_stats_json profile_name analysis_name = function
-  | Done (_, _, stats, tprofile) -> (
+  | _, Done (_, stats, tprofile) -> (
     match Run_stats.to_json stats with
     | Json.Obj fields ->
       Json.Obj
         (("benchmark", Json.String profile_name)
         :: (fields @ [ ("trace", trace_summary_json tprofile) ]))
     | _ -> assert false)
-  | Timed_out abort ->
+  | _, Timed_out abort ->
     Json.Obj
       [
         ("benchmark", Json.String profile_name);
@@ -233,10 +238,8 @@ let cell_stats_json profile_name analysis_name = function
         ("nodes", Json.Int abort.Pta_obs.Budget.nodes);
       ]
 
-(* The schema-v2 snapshot of the current grid: per-cell best (min-of-3) time,
-   iterations, supergraph nodes and the instrumented run's GC profile —
-   timeout cells carry the solver's abort payload (elapsed, iterations,
-   nodes at abort) instead of just a dash. *)
+(* The snapshot of the current grid, one cell per selected
+   (benchmark, analysis, jobs). *)
 let current_snapshot () =
   let cells =
     List.concat_map
@@ -244,50 +247,13 @@ let current_snapshot () =
         List.concat_map
           (fun a ->
             List.map
-              (fun jobs ->
-                let key = (profile.Profile.name, a, jobs) in
-                let outcome = run_one ~jobs profile a in
-                let domains =
-                  Option.value ~default:1 (Hashtbl.find_opt cell_domains key)
-                in
-                match outcome with
-                | Done (_, s, stats, _) ->
-                  {
-                    Snapshot.benchmark = profile.Profile.name;
-                    analysis = a;
-                    timed_out = false;
-                    time_s = s;
-                    iterations = stats.Run_stats.iterations;
-                    nodes = Some stats.Run_stats.n_nodes;
-                    memory = stats.Run_stats.memory;
-                    time_hist = Hashtbl.find_opt cell_hists key;
-                    heap_components =
-                      Option.value ~default:[]
-                        (Hashtbl.find_opt cell_census key);
-                    jobs;
-                    domains;
-                  }
-                | Timed_out abort ->
-                  {
-                    Snapshot.benchmark = profile.Profile.name;
-                    analysis = a;
-                    timed_out = true;
-                    time_s = abort.Pta_obs.Budget.elapsed_s;
-                    iterations = abort.Pta_obs.Budget.iterations;
-                    nodes = Some abort.Pta_obs.Budget.nodes;
-                    memory = None;
-                    time_hist = None;
-                    heap_components = [];
-                    jobs;
-                    domains;
-                  })
+              (fun jobs -> fst (run_one ~jobs profile a))
               !selected_jobs)
           !selected_analyses)
       (profiles ())
   in
   {
-    Snapshot.schema_version = Snapshot.current_schema_version;
-    timeout_s;
+    Snapshot.timeout_s;
     host_cores = Some (Pta_solver.Par.recommended_domains ());
     pointsto = Some (Pta_version.Version.to_json ());
     cells;
@@ -311,7 +277,9 @@ let table1_block profile =
   let outcomes = List.map (fun a -> (a, run_one profile a)) analyses in
   let program = Workloads.program profile in
   let some_metrics =
-    List.find_map (function _, Done (m, _, _, _) -> Some m | _ -> None) outcomes
+    List.find_map
+      (function _, (_, Done (m, _, _)) -> Some m | _ -> None)
+      outcomes
   in
   let headline =
     match some_metrics with
@@ -328,7 +296,8 @@ let table1_block profile =
     Table.add_row t
       (label
       :: List.map
-           (fun (_, o) -> match o with Done (m, _, _, _) -> f m | Timed_out _ -> "-")
+           (fun (_, o) ->
+             match o with _, Done (m, _, _) -> f m | _, Timed_out _ -> "-")
            outcomes)
   in
   metric_row "avg objs per var" (fun m -> fmt_float m.Metrics.avg_objs_per_var);
@@ -352,8 +321,8 @@ let table1_block profile =
           List.filter_map
             (fun a ->
               match run_one profile a with
-              | Done (_, s, _, _) -> Some (a, s)
-              | Timed_out _ -> None)
+              | c, Done _ -> Some (a, c.Snapshot.time_s)
+              | _, Timed_out _ -> None)
             group
         in
         match times with
@@ -372,10 +341,10 @@ let table1_block profile =
     :: List.map
          (fun (a, o) ->
            match o with
-           | Done (_, s, _, _) ->
-             Printf.sprintf "%.2f%s" s
+           | c, Done _ ->
+             Printf.sprintf "%.2f%s" c.Snapshot.time_s
                (if List.mem a best_in_group then "*" else "")
-           | Timed_out _ -> "-")
+           | _, Timed_out _ -> "-")
          outcomes);
   metric_row "sensitive var-points-to" (fun m -> fmt_k m.Metrics.sensitive_vpt);
   (headline, Table.render t)
@@ -400,7 +369,7 @@ let cmd_table1 () =
       List.iter
         (fun a ->
           match run_one profile a with
-          | Done (m, s, _, _) ->
+          | c, Done (m, _, _) ->
             rows :=
               [
                 profile.Profile.name;
@@ -413,12 +382,12 @@ let cmd_table1 () =
                 fmt_int
                   (m.Metrics.taint_flows
                   - Pta_workloads.Gen.taint_ground_truth profile);
-                Printf.sprintf "%.3f" s;
+                Printf.sprintf "%.3f" c.Snapshot.time_s;
                 fmt_int m.Metrics.sensitive_vpt;
                 fmt_int m.Metrics.n_ctxs;
               ]
               :: !rows
-          | Timed_out _ ->
+          | _, Timed_out _ ->
             rows :=
               [
                 profile.Profile.name; a; "-"; "-"; "-"; "-"; "-"; "-"; "-";
@@ -464,9 +433,9 @@ let cmd_table1 () =
   output_char oc '\n';
   close_out oc;
   print_endline "[table1_stats.json written]";
-  (* The committed perf snapshot: just enough per cell to diff run-time,
-     iteration and memory regressions across revisions (schema v2,
-     documented in EXPERIMENTS.md). *)
+  (* The committed perf snapshot: just enough per cell to diff run-time
+     and memory regressions across revisions (documented in
+     EXPERIMENTS.md). *)
   write_snapshot_file "BENCH_table1.json" (current_snapshot ());
   print_endline "[BENCH_table1.json written]\n"
 
@@ -526,16 +495,16 @@ let cmd_propbench () =
           List.iter
             (fun jobs ->
               match run_one ~jobs profile a with
-              | Done (_, s, stats, _) ->
+              | c, Done (_, stats, _) ->
                 Table.add_row t
                   [
                     a;
                     string_of_int jobs;
-                    Printf.sprintf "%.2f" s;
+                    Printf.sprintf "%.2f" c.Snapshot.time_s;
                     fmt_int stats.Run_stats.iterations;
                     fmt_int stats.Run_stats.n_nodes;
                   ]
-              | Timed_out _ ->
+              | _, Timed_out _ ->
                 Table.add_row t [ a; string_of_int jobs; "-"; "-"; "-" ])
             !selected_jobs)
         !selected_analyses)
@@ -580,15 +549,15 @@ let cmd_figure3 () =
         List.filter_map
           (fun (a, key) ->
             match run_one profile a with
-            | Done (m, s, _, _) ->
+            | c, Done (m, _, _) ->
               Some
                 {
                   Scatter.key;
                   label = a;
                   x = float_of_int m.Metrics.may_fail_casts;
-                  y = s;
+                  y = c.Snapshot.time_s;
                 }
-            | Timed_out _ -> None)
+            | _, Timed_out _ -> None)
           figure3_keys
       in
       print_endline
@@ -614,8 +583,8 @@ let ratio_over_benchmarks f num den =
   List.filter_map
     (fun profile ->
       match (run_one profile num, run_one profile den) with
-      | Done (m1, s1, _, _), Done (m2, s2, _, _) -> (
-        match f (m1, s1) (m2, s2) with
+      | (c1, Done (m1, _, _)), (c2, Done (m2, _, _)) -> (
+        match f (m1, c1.Snapshot.time_s) (m2, c2.Snapshot.time_s) with
         | r when r > 0. && Float.is_finite r -> Some r
         | _ -> None)
       | _ -> None)
@@ -685,8 +654,8 @@ let cmd_summary () =
         List.fold_left
           (fun acc profile ->
             match run_one profile a with
-            | Done (m, _, _, _) -> acc + m.Metrics.may_fail_casts
-            | Timed_out _ -> acc)
+            | _, Done (m, _, _) -> acc + m.Metrics.may_fail_casts
+            | _, Timed_out _ -> acc)
           0 (profiles ())
       in
       line "  %-10s %6d" a total)
@@ -716,17 +685,17 @@ let cmd_ablation () =
       List.iter
         (fun a ->
           match run_one profile a with
-          | Done (m, secs, _, _) ->
+          | c, Done (m, _, _) ->
             Table.add_row t
               [
                 a;
                 fmt_float m.Metrics.avg_objs_per_var;
                 fmt_int m.Metrics.call_graph_edges;
                 fmt_int m.Metrics.may_fail_casts;
-                Printf.sprintf "%.2f" secs;
+                Printf.sprintf "%.2f" c.Snapshot.time_s;
                 fmt_int m.Metrics.sensitive_vpt;
               ]
-          | Timed_out _ -> Table.add_row t [ a; "-"; "-"; "-"; "-"; "-" ])
+          | _, Timed_out _ -> Table.add_row t [ a; "-"; "-"; "-"; "-"; "-" ])
         subjects;
       (* Field-based heap abstraction as a further ablation row. *)
       (let program = Workloads.program profile in
@@ -781,17 +750,17 @@ let cmd_futurework () =
       List.iter
         (fun a ->
           match run_one profile a with
-          | Done (m, secs, _, _) ->
+          | c, Done (m, _, _) ->
             Table.add_row t
               [
                 a;
                 fmt_float m.Metrics.avg_objs_per_var;
                 fmt_int m.Metrics.call_graph_edges;
                 fmt_int m.Metrics.may_fail_casts;
-                Printf.sprintf "%.2f" secs;
+                Printf.sprintf "%.2f" c.Snapshot.time_s;
                 fmt_int m.Metrics.sensitive_vpt;
               ]
-          | Timed_out _ -> Table.add_row t [ a; "-"; "-"; "-"; "-"; "-" ])
+          | _, Timed_out _ -> Table.add_row t [ a; "-"; "-"; "-"; "-"; "-" ])
         subjects;
       Printf.printf "--- %s ---\n%s\n" bench_name (Table.render t))
     [ "antlr"; "jython"; "lusearch" ]
@@ -936,6 +905,15 @@ let cmd_micro () =
 (* Regression gate: --baseline FILE --compare                          *)
 (* ------------------------------------------------------------------ *)
 
+let load_baseline path =
+  match
+    Snapshot.of_string (In_channel.with_open_bin path In_channel.input_all)
+  with
+  | Ok t -> t
+  | Error e | (exception Sys_error e) ->
+    Printf.eprintf "cannot load baseline %s: %s\n" path e;
+    exit 2
+
 let cmd_compare ~baseline_file ~time_tol ~heap_tol ~heap_component_tol
     ~min_scaling ~delta_md ~snapshot_out () =
   (* Fail early on an unreadable/unparseable baseline, but do NOT
@@ -944,29 +922,26 @@ let cmd_compare ~baseline_file ~time_tol ~heap_tol ~heap_component_tol
      history, and holding a parsed JSON tree live while they run shifts
      their heap figures measurably relative to the `table1` process
      that blessed the baseline.  Parse, drop, measure, re-parse. *)
-  (match Comparator.load_file baseline_file with
-  | Ok (_ : Snapshot.t) -> ()
-  | Error e ->
-    Printf.eprintf "%s\n" e;
-    exit 2);
+  ignore (load_baseline baseline_file : Snapshot.t);
   let current = current_snapshot () in
   Option.iter
     (fun path ->
       write_snapshot_file path current;
       Printf.printf "[%s written]\n%!" path)
     snapshot_out;
-  let baseline =
-    match Comparator.load_file baseline_file with
-    | Ok b -> b
-    | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
+  let baseline = load_baseline baseline_file in
+  (* Gate only over the selected benchmark x analysis subset; the
+     current snapshot holds nothing else. *)
+  let benchmarks = List.map (fun p -> p.Profile.name) (profiles ()) in
+  let selected (c : Snapshot.cell) =
+    List.mem c.Snapshot.benchmark benchmarks
+    && List.mem c.Snapshot.analysis !selected_analyses
   in
-  (* Gate only over the selected benchmark x analysis subset. *)
-  let subset =
-    Comparator.subset_of
-      ~benchmarks:(Some (List.map (fun p -> p.Profile.name) (profiles ())))
-      ~analyses:(Some !selected_analyses)
+  let baseline =
+    {
+      baseline with
+      Snapshot.cells = List.filter selected baseline.Snapshot.cells;
+    }
   in
   let thresholds =
     {
@@ -977,9 +952,21 @@ let cmd_compare ~baseline_file ~time_tol ~heap_tol ~heap_component_tol
     }
   in
   Printf.printf "=== Regression report (vs %s) ===\n%!" baseline_file;
-  let outcome =
-    Comparator.gate ~thresholds ~subset ?delta_md ~baseline ~current ()
-  in
+  if baseline.Snapshot.timeout_s <> current.Snapshot.timeout_s then
+    Printf.eprintf
+      "[bench] warning: baseline timeout %.0fs != current %.0fs; timeout \
+       cells may not be comparable\n\
+       %!"
+      baseline.Snapshot.timeout_s current.Snapshot.timeout_s;
+  let report = Snapshot.compare ~thresholds ~baseline ~current () in
+  Format.printf "%a%!" Snapshot.pp_report report;
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (Snapshot.to_markdown report);
+      close_out oc;
+      Format.printf "[%s written]@." path)
+    delta_md;
   (* The scaling gate is self-contained within the current snapshot: it
      pairs each jobs>1 cell with its jobs=1 sibling from the same run,
      so it never compares timings across hosts or commits. *)
@@ -1006,7 +993,7 @@ let cmd_compare ~baseline_file ~time_tol ~heap_tol ~heap_component_tol
           points;
         true)
   in
-  if outcome.Comparator.failed || scaling_failed then exit 1
+  if Snapshot.has_regression report || scaling_failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 

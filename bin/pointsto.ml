@@ -215,20 +215,25 @@ let emit_stats ~ppf ~stats_json ~profile (r : Driver.run) =
 (* ------------------------------------------------------------------ *)
 
 let resolve_meth_var program meth_name var_name =
+  let bad_method () =
+    Printf.eprintf "--method expects Class.meth/arity\n";
+    exit 2
+  in
   let cls, rest =
     match String.index_opt meth_name '.' with
     | Some i ->
       ( String.sub meth_name 0 i,
         String.sub meth_name (i + 1) (String.length meth_name - i - 1) )
-    | None ->
-      Printf.eprintf "--method expects Class.meth/arity\n";
-      exit 2
+    | None -> bad_method ()
   in
   let mname, arity =
     match String.index_opt rest '/' with
-    | Some i ->
-      ( String.sub rest 0 i,
-        int_of_string (String.sub rest (i + 1) (String.length rest - i - 1)) )
+    | Some i -> (
+      match
+        int_of_string_opt (String.sub rest (i + 1) (String.length rest - i - 1))
+      with
+      | Some n -> (String.sub rest 0 i, n)
+      | None -> bad_method ())
     | None -> (rest, 0)
   in
   let meth =
@@ -1229,68 +1234,6 @@ let ledger_arg =
     value & opt string "bench/history.jsonl"
     & info [ "ledger" ] ~docv:"FILE" ~doc)
 
-(* Detection parameters, shared by trend and bisect.  The tolerance
-   defaults are the same ones the one-shot bench --compare gate uses. *)
-let window_arg =
-  let doc = "Sliding-window length: finished observations per cell." in
-  Arg.(value & opt int Htrend.default_params.Htrend.window
-       & info [ "window" ] ~docv:"N" ~doc)
-
-let min_points_arg =
-  let doc = "Observations required before the changepoint test fires." in
-  Arg.(value & opt int Htrend.default_params.Htrend.min_points
-       & info [ "min-points" ] ~docv:"N" ~doc)
-
-let mad_k_arg =
-  let doc = "MAD multiplier: flag values above median + $(docv)*1.4826*MAD." in
-  Arg.(value & opt float Htrend.default_params.Htrend.mad_k
-       & info [ "mad-k" ] ~docv:"K" ~doc)
-
-let time_tol_arg =
-  let doc = "Relative floor for the time threshold, percent over the median." in
-  Arg.(value & opt float Snapshot.default_thresholds.Snapshot.time_tol_pct
-       & info [ "time-tol" ] ~docv:"PCT" ~doc)
-
-let heap_tol_arg =
-  let doc = "Relative floor for the peak-heap threshold, percent over the median." in
-  Arg.(value & opt float Snapshot.default_thresholds.Snapshot.heap_tol_pct
-       & info [ "heap-tol" ] ~docv:"PCT" ~doc)
-
-let heap_component_tol_arg =
-  let doc =
-    "Relative floor for the per-census-component retained-heap thresholds, \
-     percent over the median."
-  in
-  Arg.(
-    value
-    & opt float Snapshot.default_thresholds.Snapshot.heap_component_tol_pct
-    & info [ "heap-component-tol" ] ~docv:"PCT" ~doc)
-
-let min_time_arg =
-  let doc = "Noise floor: skip the time check when the median is below $(docv) seconds." in
-  Arg.(value & opt float Snapshot.default_thresholds.Snapshot.min_time_s
-       & info [ "min-time" ] ~docv:"SECONDS" ~doc)
-
-let params_term =
-  let make window min_points mad_k time_tol heap_tol heap_component_tol
-      min_time =
-    {
-      Htrend.window;
-      min_points;
-      mad_k;
-      tolerances =
-        {
-          Snapshot.time_tol_pct = time_tol;
-          heap_tol_pct = heap_tol;
-          heap_component_tol_pct = heap_component_tol;
-          min_time_s = min_time;
-        };
-    }
-  in
-  Term.(
-    const make $ window_arg $ min_points_arg $ mad_k_arg $ time_tol_arg
-    $ heap_tol_arg $ heap_component_tol_arg $ min_time_arg)
-
 let history_append_cmd =
   let snapshot_arg =
     let doc =
@@ -1411,9 +1354,9 @@ let trend_cmd =
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in
-  let run ledger out check params =
+  let run ledger out check =
     let records = load_ledger ledger in
-    let page = Htrend.page ~params ~ledger records in
+    let page = Htrend.page ~ledger records in
     (match out with
     | None -> ()
     | Some dir ->
@@ -1426,7 +1369,7 @@ let trend_cmd =
       Printf.printf "wrote %d files to %s\n" (List.length files) dir);
     print_endline page.Trend_page.p_subtitle;
     if check then
-      match Htrend.check_latest ~params records with
+      match Htrend.check_latest records with
       | Error e -> fail_usage "%s" e
       | Ok [] -> print_endline "trend check: latest record within thresholds"
       | Ok flags ->
@@ -1448,15 +1391,16 @@ let trend_cmd =
         "The report is byte-deterministic: rendering the same ledger twice \
          produces cmp-identical HTML and SVG, so CI can cache and diff the \
          artifact.  The changepoint check is robust (median + MAD over a \
-         sliding window of finished observations) with the same tolerance \
-         floors as the one-shot bench $(b,--compare) gate; cells with fewer \
-         than $(b,--min-points) observations pass, so newly added analyses \
-         are not flagged while their history accumulates.";
+         sliding window of the 5 latest finished observations, MAD \
+         multiplier 4) with the default tolerance floors of the one-shot \
+         bench $(b,--compare) gate; cells with fewer than 3 observations \
+         pass, so newly added analyses are not flagged while their history \
+         accumulates.";
     ]
   in
   Cmd.v
     (Cmd.info "trend" ~doc ~man ~exits:bench_exits)
-    Term.(const run $ ledger_arg $ out_arg $ check_arg $ params_term)
+    Term.(const run $ ledger_arg $ out_arg $ check_arg)
 
 let bisect_cmd =
   let cell_arg =
@@ -1504,7 +1448,7 @@ let bisect_cmd =
       & opt string "BENCH_bisect_baseline.json"
       & info [ "baseline-out" ] ~docv:"FILE" ~doc)
   in
-  let run ledger cell metric git script_out baseline_out params =
+  let run ledger cell metric git script_out baseline_out =
     let benchmark, analysis =
       match String.index_opt cell '/' with
       | Some i ->
@@ -1525,7 +1469,7 @@ let bisect_cmd =
       | _ -> (analysis, 1)
     in
     let records = load_ledger ledger in
-    match Hbisect.run ~params ~jobs ~metric ~benchmark ~analysis records with
+    match Hbisect.run ~jobs ~metric ~benchmark ~analysis records with
     | Error e -> fail_usage "%s" e
     | Ok None ->
       Printf.printf
@@ -1566,7 +1510,7 @@ let bisect_cmd =
       `S Manpage.s_description;
       `P
         "The anchor baseline is the median + MAD threshold of the cell's \
-         first $(b,--window) finished observations; a record is bad when \
+         first 5 finished observations; a record is bad when \
          its value exceeds that threshold (or it times out).  Against a \
          step regression the predicate is monotone, so binary search finds \
          the boundary in O(log n) probes — each probe is reported, so a \
@@ -1583,7 +1527,7 @@ let bisect_cmd =
     (Cmd.info "bisect" ~doc ~man ~exits:bench_exits)
     Term.(
       const run $ ledger_arg $ cell_arg $ metric_arg $ git_arg
-      $ script_out_arg $ baseline_out_arg $ params_term)
+      $ script_out_arg $ baseline_out_arg)
 
 let bench_cmd =
   let doc =

@@ -1,5 +1,4 @@
 module Snapshot = Pta_report.Bench_snapshot
-module Memstats = Pta_obs.Memstats
 
 type outcome = {
   benchmark : string;
@@ -35,8 +34,8 @@ let anchor_values (p : Trend.params) metric ~benchmark ~analysis ~jobs ~cores
   in
   go [] 0 records
 
-let run ?(params = Trend.default_params) ?(jobs = 1) ~metric ~benchmark
-    ~analysis records =
+let run ?(jobs = 1) ~metric ~benchmark ~analysis records =
+  let params = Trend.default_params in
   match records with
   | [] -> Error "empty ledger: nothing to bisect"
   | _ -> (
@@ -77,7 +76,7 @@ let run ?(params = Trend.default_params) ?(jobs = 1) ~metric ~benchmark
           else
             match Record.cell_find ~jobs r ~benchmark ~analysis with
             | None -> false
-            | Some c when c.Record.timed_out -> true
+            | Some c when c.Snapshot.timed_out -> true
             | Some c -> (
               match Trend.cell_value metric c with
               | None -> false
@@ -141,50 +140,17 @@ let baseline_snapshot ?(jobs = 1) (r : Record.t) ~benchmark ~analysis =
     Error
       (Printf.sprintf "record #%d has no cell %s/%s" r.Record.seq benchmark
          analysis)
-  | Some c when c.Record.timed_out ->
+  | Some c when c.Snapshot.timed_out ->
     Error
       (Printf.sprintf "record #%d: %s/%s timed out; cannot baseline on it"
          r.Record.seq benchmark analysis)
   | Some c ->
-    let memory =
-      Option.map
-        (fun peak ->
-          (* Only the peak survives into a ledger record; the rest of
-             the GC profile is zeroed, which the comparator ignores. *)
-          {
-            Memstats.minor_allocated_words = 0.;
-            promoted_delta_words = 0.;
-            major_allocated_words = 0.;
-            minor_collections_delta = 0;
-            major_collections_delta = 0;
-            compactions_delta = 0;
-            heap_words_after = peak;
-            peak_heap_words = peak;
-          })
-        c.Record.peak_heap_words
-    in
     Ok
       {
-        Snapshot.schema_version = Snapshot.current_schema_version;
-        timeout_s = r.Record.timeout_s;
+        Snapshot.timeout_s = r.Record.timeout_s;
         host_cores = r.Record.host.Record.cores;
         pointsto = None;
-        cells =
-          [
-            {
-              Snapshot.benchmark = c.Record.benchmark;
-              analysis = c.Record.analysis;
-              timed_out = false;
-              time_s = c.Record.time_s;
-              iterations = c.Record.iterations;
-              nodes = c.Record.nodes;
-              memory;
-              time_hist = c.Record.time_hist;
-              heap_components = c.Record.heap_components;
-              jobs = c.Record.jobs;
-              domains = c.Record.domains;
-            };
-          ];
+        cells = [ c ];
       }
 
 (* The run command is nested two shells deep (`git bisect run sh -c`),

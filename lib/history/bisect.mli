@@ -30,7 +30,6 @@ type outcome = {
 }
 
 val run :
-  ?params:Trend.params ->
   ?jobs:int ->
   metric:Trend.metric ->
   benchmark:string ->

@@ -1,12 +1,6 @@
 module Json = Pta_obs.Json
 module Snapshot = Pta_report.Bench_snapshot
-module Census = Pta_obs.Census
 
-(* v2 adds the optional per-cell [heap_components] census block; v1
-   records load with it empty.  v3 adds per-cell [jobs]/[domains] (the
-   parallel drain's requested and effective domain counts) and the
-   host's [cores]; older records load with jobs = domains = 1 and
-   cores = None. *)
 let current_schema_version = 3
 
 type build = {
@@ -23,7 +17,7 @@ type host = {
   os_type : string;
   word_size : int;
   hostname : string;
-  cores : int option;  (* v3; None in older records *)
+  cores : int option;
 }
 
 let current_host ?cores () =
@@ -41,22 +35,9 @@ let current_host ?cores () =
   in
   { os_type = Sys.os_type; word_size = Sys.word_size; hostname; cores }
 
-type cell = {
-  benchmark : string;
-  analysis : string;
-  timed_out : bool;
-  time_s : float;
-  iterations : int;
-  nodes : int option;
-  peak_heap_words : int option;
-  time_hist : Snapshot.hist option;
-  heap_components : Census.component list;  (* v2; [] when absent *)
-  jobs : int;  (* v3; 1 in older records *)
-  domains : int;  (* v3; 1 in older records *)
-}
+type cell = Snapshot.cell
 
 type t = {
-  schema_version : int;
   seq : int;
   timestamp : float option;
   note : string option;
@@ -89,33 +70,10 @@ let host_to_json h =
      ]
     @ match h.cores with None -> [] | Some n -> [ ("cores", Json.Int n) ])
 
-let cell_to_json c =
-  Json.Obj
-    ([
-       ("benchmark", Json.String c.benchmark);
-       ("analysis", Json.String c.analysis);
-       ("timed_out", Json.Bool c.timed_out);
-       ("time_s", Json.Float c.time_s);
-       ("iterations", Json.Int c.iterations);
-     ]
-    @ (match c.nodes with None -> [] | Some n -> [ ("nodes", Json.Int n) ])
-    @ (match c.peak_heap_words with
-      | None -> []
-      | Some w -> [ ("peak_heap_words", Json.Int w) ])
-    @ (match c.time_hist with
-      | None -> []
-      | Some h -> [ ("time_hist", Snapshot.hist_to_json h) ])
-    @ (match c.heap_components with
-      | [] -> []
-      | cs -> [ ("heap_components", Census.components_to_json cs) ])
-    @
-    if c.jobs = 1 && c.domains = 1 then []
-    else [ ("jobs", Json.Int c.jobs); ("domains", Json.Int c.domains) ])
-
 let to_json t =
   Json.Obj
     ([
-       ("schema_version", Json.Int t.schema_version);
+       ("schema_version", Json.Int current_schema_version);
        ("seq", Json.Int t.seq);
      ]
     @ (match t.timestamp with
@@ -126,7 +84,7 @@ let to_json t =
         ("timeout_s", Json.Float t.timeout_s);
         ("build", build_to_json t.build);
         ("host", host_to_json t.host);
-        ("cells", Json.List (List.map cell_to_json t.cells));
+        ("cells", Json.List (List.map Snapshot.cell_to_json t.cells));
       ])
 
 let ( let* ) r f = Result.bind r f
@@ -153,55 +111,11 @@ let host_of_json json =
   let cores = Option.bind (Json.member "cores" json) Json.to_int in
   Ok { os_type; word_size; hostname; cores }
 
-let cell_of_json json =
-  let* benchmark = field json "benchmark" Json.to_str in
-  let* analysis = field json "analysis" Json.to_str in
-  let* timed_out = field json "timed_out" to_bool in
-  let* time_s = field json "time_s" Json.to_float in
-  let* iterations = field json "iterations" Json.to_int in
-  let nodes = Option.bind (Json.member "nodes" json) Json.to_int in
-  let peak_heap_words =
-    Option.bind (Json.member "peak_heap_words" json) Json.to_int
-  in
-  let* time_hist =
-    match Json.member "time_hist" json with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (Snapshot.hist_of_json j)
-  in
-  let* heap_components =
-    match Json.member "heap_components" json with
-    | None -> Ok []
-    | Some j -> Census.components_of_json_list j
-  in
-  let jobs =
-    Option.value ~default:1 (Option.bind (Json.member "jobs" json) Json.to_int)
-  in
-  let domains =
-    Option.value ~default:1
-      (Option.bind (Json.member "domains" json) Json.to_int)
-  in
-  if jobs < 1 || domains < 1 then Error "jobs and domains must be >= 1"
-  else
-    Ok
-      {
-        benchmark;
-        analysis;
-        timed_out;
-        time_s;
-        iterations;
-        nodes;
-        peak_heap_words;
-        time_hist;
-        heap_components;
-        jobs;
-        domains;
-      }
-
 let of_json json =
   let* schema_version = field json "schema_version" Json.to_int in
-  if schema_version < 1 || schema_version > current_schema_version then
+  if schema_version <> current_schema_version then
     Error
-      (Printf.sprintf "unsupported schema_version %d (max %d)" schema_version
+      (Printf.sprintf "unsupported schema_version %d (want %d)" schema_version
          current_schema_version)
   else
     let* seq = field json "seq" Json.to_int in
@@ -220,26 +134,8 @@ let of_json json =
         | None -> Error "missing \"host\""
         | Some j -> host_of_json j
       in
-      let* cell_list = field json "cells" Json.to_list in
-      let* cells =
-        List.fold_left
-          (fun acc j ->
-            let* acc = acc in
-            let* c = cell_of_json j in
-            Ok (c :: acc))
-          (Ok []) cell_list
-      in
-      Ok
-        {
-          schema_version;
-          seq;
-          timestamp;
-          note;
-          timeout_s;
-          build;
-          host;
-          cells = List.rev cells;
-        }
+      let* cells = Snapshot.cells_of_json json in
+      Ok { seq; timestamp; note; timeout_s; build; host; cells }
 
 (* ------------------------------------------------------------------ *)
 (* From a bench snapshot                                               *)
@@ -277,8 +173,8 @@ let of_snapshot ~seq ?timestamp ?note ~host (snap : Snapshot.t) =
     match snap.Snapshot.pointsto with
     | None ->
       Error
-        "snapshot carries no build stamp (schema v1?); a ledger record must \
-         be traceable to the build that measured it"
+        "snapshot carries no build stamp; a ledger record must be \
+         traceable to the build that measured it"
     | Some stamp -> build_of_stamp stamp
   in
   (* The snapshot's own core stamp wins: it names the host that
@@ -288,43 +184,21 @@ let of_snapshot ~seq ?timestamp ?note ~host (snap : Snapshot.t) =
     | Some _ as cores -> { host with cores }
     | None -> host
   in
-  let cells =
-    List.map
-      (fun (c : Snapshot.cell) ->
-        {
-          benchmark = c.Snapshot.benchmark;
-          analysis = c.Snapshot.analysis;
-          timed_out = c.Snapshot.timed_out;
-          time_s = c.Snapshot.time_s;
-          iterations = c.Snapshot.iterations;
-          nodes = c.Snapshot.nodes;
-          peak_heap_words =
-            Option.map
-              (fun m -> m.Pta_obs.Memstats.peak_heap_words)
-              c.Snapshot.memory;
-          time_hist = c.Snapshot.time_hist;
-          heap_components = c.Snapshot.heap_components;
-          jobs = c.Snapshot.jobs;
-          domains = c.Snapshot.domains;
-        })
-      snap.Snapshot.cells
-  in
   Ok
     {
-      schema_version = current_schema_version;
       seq;
       timestamp;
       note;
       timeout_s = snap.Snapshot.timeout_s;
       build;
       host;
-      cells;
+      cells = snap.Snapshot.cells;
     }
 
 let cell_find ?(jobs = 1) t ~benchmark ~analysis =
   List.find_opt
-    (fun c ->
-      String.equal c.benchmark benchmark
-      && String.equal c.analysis analysis
-      && c.jobs = jobs)
+    (fun (c : cell) ->
+      String.equal c.Snapshot.benchmark benchmark
+      && String.equal c.Snapshot.analysis analysis
+      && c.Snapshot.jobs = jobs)
     t.cells

@@ -2,23 +2,22 @@
     benchmark run, keyed by the build stamp of the binary that produced
     them.
 
-    Records are schema-versioned independently of the snapshot codec
-    ({!Pta_report.Bench_snapshot}): snapshots are the working files a
-    bench run overwrites in place, the ledger is the append-only
-    archive those runs accumulate into ([bench/history.jsonl]), and the
-    two evolve at different speeds.  {!of_json} is strict — a record
-    from a future schema, or with a missing/mistyped field, is rejected
-    rather than half-read, because a silently misparsed ledger line
-    poisons every trend computed over it. *)
+    Snapshots are the working files a bench run overwrites in place;
+    the ledger is the append-only archive those runs accumulate into
+    ([bench/history.jsonl]).  Both store the same cell
+    ({!Pta_report.Bench_snapshot.cell}, through its codec), but the
+    record wraps the cells in its own envelope (build stamp, host
+    fingerprint, [seq]) and carries its own [schema_version].
+    {!of_json} is strict — a record of any other schema, or with a
+    missing/mistyped field, is rejected rather than half-read, because
+    a silently misparsed ledger line poisons every trend computed over
+    it. *)
 
 module Json := Pta_obs.Json
 module Snapshot := Pta_report.Bench_snapshot
 
 val current_schema_version : int
-(** 3.  v2 adds the optional per-cell [heap_components] census block;
-    v3 adds per-cell [jobs]/[domains] and the host's [cores].  Older
-    records load with the newer fields at their sequential defaults
-    (jobs = domains = 1, cores = None). *)
+(** The one version {!to_json} writes and {!of_json} reads: 3. *)
 
 type build = {
   semver : string;
@@ -35,7 +34,7 @@ type host = {
   os_type : string;  (** [Sys.os_type] *)
   word_size : int;  (** [Sys.word_size] *)
   hostname : string;
-  cores : int option;  (** v3: core count; [None] in older records *)
+  cores : int option;  (** core count; [None] when unknown *)
 }
 (** A coarse host fingerprint: timings from different machines must
     never be silently compared, and this is how the trend tooling tells
@@ -49,26 +48,9 @@ val current_host : ?cores:int -> unit -> host
     (e.g. {!Pta_solver.Par.recommended_domains}); [$PTA_BENCH_CORES]
     overrides it, like [$PTA_BENCH_HOST] does the hostname. *)
 
-type cell = {
-  benchmark : string;
-  analysis : string;
-  timed_out : bool;
-  time_s : float;  (** best wall time, or elapsed-at-abort for timeouts *)
-  iterations : int;
-  nodes : int option;
-  peak_heap_words : int option;
-  time_hist : Snapshot.hist option;
-      (** distribution of the individual timed solves (exponential
-          buckets, {!Pta_metrics.Registry.time_buckets} ladder) *)
-  heap_components : Pta_obs.Census.component list;
-      (** v2: reachable-heap census of the solved state; [[]] when the
-          run (or a v1 record) carried none *)
-  jobs : int;  (** v3: requested worklist domains; 1 in older records *)
-  domains : int;  (** v3: effective domain count; 1 in older records *)
-}
+type cell = Snapshot.cell
 
 type t = {
-  schema_version : int;
   seq : int;  (** position in the ledger; assigned by {!Ledger.append} *)
   timestamp : float option;  (** unix seconds; [None] on synthetic records *)
   note : string option;  (** free-form provenance, e.g. ["ci"] *)
@@ -80,8 +62,9 @@ type t = {
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-(** Strict: rejects unsupported schema versions and missing or mistyped
-    fields (including malformed [time_hist] blocks). *)
+(** Strict: rejects any schema version but {!current_schema_version}
+    and missing or mistyped fields (including malformed [time_hist]
+    blocks). *)
 
 val of_snapshot :
   seq:int ->
@@ -93,7 +76,7 @@ val of_snapshot :
 (** Build a record from a bench snapshot ([BENCH_table1.json] /
     [BENCH_prop.json]).  The build stamp is taken from the snapshot's
     own [pointsto] field — the binary that {e measured}, not the one
-    appending — and is required: a stamp-less (v1) snapshot is refused,
+    appending — and is required: a stamp-less snapshot is refused,
     because an untraceable ledger record is worse than none.  A
     ["-dirty"]-suffixed commit or an explicit [dirty] flag in the stamp
     both mark the record dirty. *)
@@ -101,5 +84,4 @@ val of_snapshot :
 val cell_find :
   ?jobs:int -> t -> benchmark:string -> analysis:string -> cell option
 (** The cell measured at [jobs] worklist domains (default 1, the
-    sequential drain) — (benchmark, analysis, jobs) is the cell key
-    from v3 on. *)
+    sequential drain) — (benchmark, analysis, jobs) is the cell key. *)

@@ -72,11 +72,11 @@ let window_stats p metric values =
       Some { median; mad; threshold = median +. Float.max spread rel_floor }
 
 let cell_value metric (c : Record.cell) =
-  if c.Record.timed_out then None
+  if c.Snapshot.timed_out then None
   else
     match metric with
-    | Time -> Some c.Record.time_s
-    | Heap -> Option.map float_of_int c.Record.peak_heap_words
+    | Time -> Some c.Snapshot.time_s
+    | Heap -> Option.map float_of_int c.Snapshot.peak_heap_words
     | Heap_component name ->
       Option.map
         (fun (comp : Pta_obs.Census.component) ->
@@ -84,14 +84,14 @@ let cell_value metric (c : Record.cell) =
         (List.find_opt
            (fun (comp : Pta_obs.Census.component) ->
              String.equal comp.Pta_obs.Census.comp_name name)
-           c.Record.heap_components)
+           c.Snapshot.heap_components)
 
 (* The up-to-[window] most recent finished observations among the
    records strictly before index [i].  Records measured on a host with
    a different core count than record [i]'s are skipped outright:
    parallel (and even sequential) timings do not transfer across core
    counts, and a window mixing them would flag (or mask) on hardware,
-   not code.  Unknown (pre-v3) core counts only match unknown. *)
+   not code.  Unknown core counts only match unknown. *)
 let window_before p metric records ~benchmark ~analysis ~jobs i =
   let cores = records.(i).Record.host.Record.cores in
   let rec go j acc count =
@@ -144,7 +144,7 @@ let check_cell p records i ~benchmark ~analysis ~jobs =
   match Record.cell_find ~jobs r ~benchmark ~analysis with
   | None -> []
   | Some c ->
-    if c.Record.timed_out then
+    if c.Snapshot.timed_out then
       (* A fresh timeout is a regression whenever the cell has enough
          finished history for the trend to have an opinion at all. *)
       let w = window_before p Time records ~benchmark ~analysis ~jobs i in
@@ -176,9 +176,10 @@ let check_cell p records i ~benchmark ~analysis ~jobs =
         :: List.map
              (fun (comp : Pta_obs.Census.component) ->
                Heap_component comp.Pta_obs.Census.comp_name)
-             c.Record.heap_components)
+             c.Snapshot.heap_components)
 
-let check_latest ?(params = default_params) records =
+let check_latest records =
+  let params = default_params in
   match records with
   | [] -> Error "empty ledger: nothing to check"
   | _ ->
@@ -187,8 +188,8 @@ let check_latest ?(params = default_params) records =
     Ok
       (List.concat_map
          (fun (c : Record.cell) ->
-           check_cell params arr last ~benchmark:c.Record.benchmark
-             ~analysis:c.Record.analysis ~jobs:c.Record.jobs)
+           check_cell params arr last ~benchmark:c.Snapshot.benchmark
+             ~analysis:c.Snapshot.analysis ~jobs:c.Snapshot.jobs)
          arr.(last).Record.cells)
 
 let flag_mask p metric ~benchmark ~analysis ~jobs records =
@@ -213,7 +214,9 @@ let cell_universe records =
     (fun (r : Record.t) ->
       List.iter
         (fun (c : Record.cell) ->
-          let key = (c.Record.benchmark, c.Record.analysis, c.Record.jobs) in
+          let key =
+            (c.Snapshot.benchmark, c.Snapshot.analysis, c.Snapshot.jobs)
+          in
           if not (Hashtbl.mem seen key) then (
             Hashtbl.add seen key ();
             order := key :: !order))
@@ -233,8 +236,8 @@ let series_of p metric ~fmt ~benchmark ~analysis ~jobs records =
       let value, timed_out, txt =
         match Record.cell_find ~jobs r ~benchmark ~analysis with
         | None -> (None, false, "absent")
-        | Some c when c.Record.timed_out ->
-          (None, true, Printf.sprintf "timeout after %.0fs" c.Record.time_s)
+        | Some c when c.Snapshot.timed_out ->
+          (None, true, Printf.sprintf "timeout after %.0fs" c.Snapshot.time_s)
         | Some c -> (
           match cell_value metric c with
           | Some v -> (Some v, false, fmt v)
@@ -257,7 +260,7 @@ let plain_series ~fmt ~value_of ~benchmark ~analysis ~jobs records =
       let value, timed_out, txt =
         match Record.cell_find ~jobs r ~benchmark ~analysis with
         | None -> (None, false, "absent")
-        | Some c when c.Record.timed_out -> (None, true, "timeout")
+        | Some c when c.Snapshot.timed_out -> (None, true, "timeout")
         | Some c -> (
           match value_of c with
           | Some v -> (Some v, false, fmt v)
@@ -297,7 +300,7 @@ let component_universe ~benchmark ~analysis ~jobs records =
             if not (Hashtbl.mem seen name) then (
               Hashtbl.add seen name ();
               order := name :: !order))
-          c.Record.heap_components)
+          c.Snapshot.heap_components)
     records;
   List.rev !order
 
@@ -311,7 +314,8 @@ let subtitle ~ledger records =
       last.Record.host.Record.hostname last.Record.build.Record.profile
   | _ -> Printf.sprintf "%s — empty ledger" ledger
 
-let page ?(params = default_params) ~ledger records =
+let page ~ledger records =
+  let params = default_params in
   let cells =
     List.map
       (fun (benchmark, analysis, jobs) ->
@@ -333,7 +337,7 @@ let page ?(params = default_params) ~ledger records =
                 m_series =
                   plain_series ~fmt:fmt_nodes
                     ~value_of:(fun c ->
-                      Option.map float_of_int c.Record.nodes)
+                      Option.map float_of_int c.Snapshot.nodes)
                     ~benchmark ~analysis ~jobs records;
               };
               {

@@ -23,7 +23,7 @@ type metric =
   | Time
   | Heap
   | Heap_component of string
-      (** one census component's retained words (v2 ledger records);
+      (** one census component's retained words;
           tested with [heap_component_tol_pct] and a 1024-word noise
           floor *)
 
@@ -81,7 +81,7 @@ val cell_label : analysis:string -> jobs:int -> string
 
 val pp_flag : Format.formatter -> flag -> unit
 
-val check_latest : ?params:params -> Record.t list -> (flag list, string) result
+val check_latest : Record.t list -> (flag list, string) result
 (** Gate the ledger's {e latest} record: every cell it contains is
     tested against its own history.  Cells with no (or too little)
     history pass — a newly added analysis needs [min_points] runs
@@ -101,7 +101,7 @@ val flag_mask :
 val cell_value : metric -> Record.cell -> float option
 (** [None] for timeouts and for heap on histogram-less records. *)
 
-val page : ?params:params -> ledger:string -> Record.t list -> Pta_report.Trend_page.page
+val page : ledger:string -> Record.t list -> Pta_report.Trend_page.page
 (** The full trend-page model: one row per (benchmark, analysis, jobs)
     in first-appearance order (parallel cells labelled
     ["analysis@jN"]), columns time / supergraph nodes / peak

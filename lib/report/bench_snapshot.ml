@@ -1,8 +1,7 @@
 module Json = Pta_obs.Json
-module Memstats = Pta_obs.Memstats
 module Census = Pta_obs.Census
 
-let current_schema_version = 5
+let current_schema_version = 6
 
 type hist = {
   bounds : float list;  (* strictly increasing upper bounds, no +Inf *)
@@ -17,19 +16,16 @@ type cell = {
   time_s : float;
   iterations : int;
   nodes : int option;
-  memory : Memstats.delta option;
+  peak_heap_words : int option;
   time_hist : hist option;
-  heap_components : Census.component list;
-      (* v4: per-component retained/unshared words; [] when absent *)
-  jobs : int;  (* v5: requested worklist domains; 1 in older snapshots *)
-  domains : int;  (* v5: domains the drain actually used *)
+  heap_components : Census.component list;  (* [] when absent *)
+  jobs : int;
+  domains : int;
 }
 
 type t = {
-  schema_version : int;
   timeout_s : float;
   host_cores : int option;
-      (* v5: cores of the measuring host; None in older snapshots *)
   pointsto : Json.t option;
   cells : cell list;
 }
@@ -58,7 +54,7 @@ let hist_of_buckets ~sum buckets =
   split [] [] buckets
 
 let hist_of_json json =
-  let err what = Error (Printf.sprintf "bench snapshot: time_hist %s" what) in
+  let err what = Error (Printf.sprintf "time_hist %s" what) in
   match
     ( Option.map (List.filter_map Json.to_float)
         (Option.bind (Json.member "bounds" json) Json.to_list),
@@ -93,9 +89,9 @@ let cell_to_json c =
        ("iterations", Json.Int c.iterations);
      ]
     @ (match c.nodes with None -> [] | Some n -> [ ("nodes", Json.Int n) ])
-    @ (match c.memory with
+    @ (match c.peak_heap_words with
       | None -> []
-      | Some m -> [ ("memory", Memstats.to_json m) ])
+      | Some w -> [ ("peak_heap_words", Json.Int w) ])
     @ (match c.time_hist with
       | None -> []
       | Some h -> [ ("time_hist", hist_to_json h) ])
@@ -103,8 +99,7 @@ let cell_to_json c =
       | [] -> []
       | cs -> [ ("heap_components", Census.components_to_json cs) ])
     @
-    (* Sequential cells stay byte-identical to a v4 writer modulo the
-       version bump: jobs/domains are only written when parallel. *)
+    (* jobs/domains are only written for parallel cells. *)
     if c.jobs = 1 && c.domains = 1 then []
     else [ ("jobs", Json.Int c.jobs); ("domains", Json.Int c.domains) ])
 
@@ -125,7 +120,12 @@ let ( let* ) r f = Result.bind r f
 let field json name conv =
   match Option.bind (Json.member name json) conv with
   | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bench snapshot: missing or mistyped %S" name)
+  | None -> Error (Printf.sprintf "missing or mistyped %S" name)
+
+let optional json name conv =
+  match Json.member name json with
+  | None -> Ok None
+  | Some j -> Result.map Option.some (conv j)
 
 let cell_of_json json =
   let* benchmark = field json "benchmark" Json.to_str in
@@ -135,63 +135,53 @@ let cell_of_json json =
   in
   let* time_s = field json "time_s" Json.to_float in
   let* iterations = field json "iterations" Json.to_int in
-  (* v2 fields; absent in v1 snapshots. *)
   let nodes = Option.bind (Json.member "nodes" json) Json.to_int in
-  let* memory =
-    match Json.member "memory" json with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (Memstats.of_json j)
+  let peak_heap_words =
+    Option.bind (Json.member "peak_heap_words" json) Json.to_int
   in
-  (* v3 field; absent in v1/v2 snapshots. *)
-  let* time_hist =
-    match Json.member "time_hist" json with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (hist_of_json j)
-  in
-  (* v4 field; absent in v1-v3 snapshots. *)
+  let* time_hist = optional json "time_hist" hist_of_json in
   let* heap_components =
-    match Json.member "heap_components" json with
-    | None -> Ok []
-    | Some j ->
-      Result.map_error
-        (fun e -> "bench snapshot: " ^ e)
-        (Census.components_of_json_list j)
+    Result.map (Option.value ~default:[])
+      (optional json "heap_components" Census.components_of_json_list)
   in
-  (* v5 fields; absent (= sequential) in v1-v4 snapshots. *)
-  let jobs =
-    Option.value ~default:1 (Option.bind (Json.member "jobs" json) Json.to_int)
+  let count name =
+    Option.value ~default:1 (Option.bind (Json.member name json) Json.to_int)
   in
-  let domains =
-    Option.value ~default:1
-      (Option.bind (Json.member "domains" json) Json.to_int)
-  in
-  if jobs < 1 || domains < 1 then
-    Error "bench snapshot: jobs and domains must be >= 1"
+  let jobs = count "jobs" and domains = count "domains" in
+  if jobs < 1 || domains < 1 then Error "jobs and domains must be >= 1"
   else
     Ok
-      { benchmark; analysis; timed_out; time_s; iterations; nodes; memory;
-        time_hist; heap_components; jobs; domains }
+      { benchmark; analysis; timed_out; time_s; iterations; nodes;
+        peak_heap_words; time_hist; heap_components; jobs; domains }
+
+let cells_of_json json =
+  let* cell_list = field json "cells" Json.to_list in
+  let* cells =
+    List.fold_left
+      (fun acc j ->
+        let* acc = acc in
+        let* c = cell_of_json j in
+        Ok (c :: acc))
+      (Ok []) cell_list
+  in
+  Ok (List.rev cells)
 
 let of_json json =
-  let* schema_version = field json "schema_version" Json.to_int in
-  if schema_version < 1 || schema_version > current_schema_version then
-    Error
-      (Printf.sprintf "bench snapshot: unsupported schema_version %d (max %d)"
-         schema_version current_schema_version)
-  else
-    let* timeout_s = field json "timeout_s" Json.to_float in
-    let host_cores = Option.bind (Json.member "host_cores" json) Json.to_int in
-    let pointsto = Json.member "pointsto" json in
-    let* cell_list = field json "cells" Json.to_list in
-    let* cells =
-      List.fold_left
-        (fun acc j ->
-          let* acc = acc in
-          let* c = cell_of_json j in
-          Ok (c :: acc))
-        (Ok []) cell_list
-    in
-    Ok { schema_version; timeout_s; host_cores; pointsto; cells = List.rev cells }
+  Result.map_error
+    (fun e -> "bench snapshot: " ^ e)
+    (let* schema_version = field json "schema_version" Json.to_int in
+     if schema_version <> current_schema_version then
+       Error
+         (Printf.sprintf "unsupported schema_version %d (want %d)"
+            schema_version current_schema_version)
+     else
+       let* timeout_s = field json "timeout_s" Json.to_float in
+       let host_cores =
+         Option.bind (Json.member "host_cores" json) Json.to_int
+       in
+       let pointsto = Json.member "pointsto" json in
+       let* cells = cells_of_json json in
+       Ok { timeout_s; host_cores; pointsto; cells })
 
 let of_string s =
   match Json.of_string s with
@@ -255,8 +245,6 @@ let pct_change base cur =
   if base = 0. then if cur = 0. then 0. else infinity
   else (cur -. base) /. base *. 100.
 
-let peak_heap c = Option.map (fun m -> m.Memstats.peak_heap_words) c.memory
-
 let compare_cells ?(times_comparable = true) th (base : cell) (cur : cell) =
   match (base.timed_out, cur.timed_out) with
   | false, true -> [ New_timeout ]
@@ -278,17 +266,17 @@ let compare_cells ?(times_comparable = true) th (base : cell) (cur : cell) =
         else []
     in
     let heap_v =
-      match (peak_heap base, peak_heap cur) with
+      match (base.peak_heap_words, cur.peak_heap_words) with
       | Some b, Some c when b > 0 ->
         let pct = pct_change (float_of_int b) (float_of_int c) in
         if pct > th.heap_tol_pct then
           [ Heap_regression { base_w = b; cur_w = c; pct } ]
         else []
-      | _ -> []  (* v1 baseline has no memory figures: nothing to gate on *)
+      | _ -> []  (* no peak on one side: nothing to gate on *)
     in
     let comp_v =
-      (* v1-v3 cells carry no components, so the list is empty and the
-         gate is silent — same lenient posture as the heap gate. *)
+      (* Cells without a census carry no components, so the list is
+         empty and the gate is silent — same posture as the heap gate. *)
       List.map
         (fun b -> Component_regression b)
         (Census.compare_components ~tol_pct:th.heap_component_tol_pct
@@ -299,7 +287,7 @@ let compare_cells ?(times_comparable = true) th (base : cell) (cur : cell) =
 let compare ?(thresholds = default_thresholds) ~baseline ~current () =
   let key c = (c.benchmark, c.analysis, c.jobs) in
   (* jobs>1 timings only transfer between hosts with the same core
-     count; unknown (pre-v5) counts never match a known one. *)
+     count; an unknown count never matches a known one. *)
   let times_comparable =
     match (baseline.host_cores, current.host_cores) with
     | Some b, Some c -> b = c
@@ -369,7 +357,7 @@ let cell_time = function
 let cell_iters = function None -> "-" | Some c -> string_of_int c.iterations
 
 let cell_heap c =
-  match Option.bind c peak_heap with
+  match Option.bind c (fun c -> c.peak_heap_words) with
   | None -> "-"
   | Some w -> Printf.sprintf "%.1fM" (float_of_int w /. 1e6)
 

@@ -1,30 +1,27 @@
-(** Codec and comparator for the committed benchmark snapshot
-    ([BENCH_table1.json]).
+(** The bench cell format, its codec, and the comparator for the
+    committed benchmark snapshots ([BENCH_table1.json],
+    [BENCH_prop.json]).  Bench-history ledger records
+    ({!Pta_bench_history.Record}) store the same {!cell}, through the
+    same {!cell_to_json}/{!cells_of_json}.
 
-    Schema v2 extends v1 with per-cell [nodes] (the solver's supergraph
-    size — also recorded for timeout cells, from the abort payload), a
-    [memory] block (the {!Pta_obs.Memstats.delta} of the instrumented
-    run), and a top-level [pointsto] build stamp.  Schema v3 (written by
-    {!to_json}) adds an optional per-cell [time_hist] — the distribution
-    of the individual timed solves behind the reported min, recorded on
-    an exponential-bucket {!Pta_metrics.Registry} histogram and carried
-    into bench-history ledger records.  Schema v4 adds an optional
-    per-cell [heap_components] block — the retained/unshared word
-    attribution of a {!Pta_obs.Census} walk over the solved state — and
-    a per-component regression gate.  Schema v5 adds per-cell [jobs]
-    and [domains] (the parallel drain's requested and effective domain
-    counts — written only when parallel, defaulting to 1 on load) and a
-    top-level [host_cores] stamp; cells are matched on
-    (benchmark, analysis, jobs), and jobs>1 time checks are skipped
-    whenever the baseline and current host core counts differ or are
-    unknown.  {!of_json} reads all five versions; older cells simply
-    come back with the newer fields absent, so a regression gate
-    against an old baseline still checks time and iterations. *)
+    A snapshot is [schema_version] 6: the [timeout_s] cutoff, an
+    optional [host_cores] stamp, an optional [pointsto] build stamp,
+    and one cell per (benchmark, analysis, jobs).  Each cell holds the
+    best wall time (or elapsed-at-abort for a timeout), iterations and
+    supergraph nodes, and, for finished cells, the instrumented run's
+    peak major heap, the distribution of the timed solves and the
+    reachable-heap census components.  [jobs]/[domains] are written
+    only for parallel cells.  {!of_json} accepts exactly this version.
+
+    {!compare} gates time, peak heap, census components, timeout flips
+    and missing cells; it reports iterations but has no verdict on
+    them.  Parallel cells' times are only compared when both snapshots
+    carry the same, known [host_cores]. *)
 
 module Json := Pta_obs.Json
 
 val current_schema_version : int
-(** The version {!to_json} writes: 5. *)
+(** The one version {!to_json} writes and {!of_json} reads: 6. *)
 
 type hist = {
   bounds : float list;  (** strictly increasing upper bounds, no +Inf *)
@@ -39,31 +36,36 @@ type cell = {
   timed_out : bool;
   time_s : float;  (** best wall time, or elapsed-at-abort for timeouts *)
   iterations : int;
-  nodes : int option;  (** v2: supergraph nodes (also at abort) *)
-  memory : Pta_obs.Memstats.delta option;  (** v2: instrumented-run GC profile *)
-  time_hist : hist option;  (** v3: per-run solve-time distribution *)
+  nodes : int option;  (** supergraph nodes (also at abort) *)
+  peak_heap_words : int option;
+      (** major-heap peak of the instrumented run; [None] for timeouts *)
+  time_hist : hist option;  (** per-run solve-time distribution *)
   heap_components : Pta_obs.Census.component list;
-      (** v4: reachable-heap census components; [[]] when absent *)
-  jobs : int;  (** v5: requested worklist domains; 1 in older snapshots *)
+      (** reachable-heap census components; [[]] when absent *)
+  jobs : int;  (** requested worklist domains *)
   domains : int;
-      (** v5: domains the drain actually used ([Config.effective_jobs]);
-          1 in older snapshots *)
+      (** domains the drain actually used ([Config.effective_jobs]) *)
 }
 
 type t = {
-  schema_version : int;  (** of the document as read; {!to_json} rewrites *)
   timeout_s : float;
   host_cores : int option;
-      (** v5: core count of the measuring host; [None] in older
-          snapshots.  Parallel timings only compare across equal,
-          known core counts. *)
-  pointsto : Json.t option;  (** v2: build stamp, held opaquely *)
+      (** core count of the measuring host.  Parallel timings only
+          compare across equal, known core counts. *)
+  pointsto : Json.t option;  (** build stamp, held opaquely *)
   cells : cell list;
 }
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
+
+val cell_to_json : cell -> Json.t
+
+val cells_of_json : Json.t -> (cell list, string) result
+(** The [cells] member of a snapshot or ledger-record document.  Strict
+    on each cell's required fields and on a present [time_hist] or
+    [heap_components] block; absent [jobs]/[domains] read as 1. *)
 
 (** {1 Histogram helpers} *)
 

@@ -30,7 +30,7 @@ let host =
 let cell ?(timed_out = false) ?nodes ?peak_heap_words ?time_hist
     ?(heap_components = []) ?(jobs = 1) ?domains ~time_s benchmark analysis =
   {
-    Record.benchmark;
+    Snapshot.benchmark;
     analysis;
     timed_out;
     time_s;
@@ -45,8 +45,7 @@ let cell ?(timed_out = false) ?nodes ?peak_heap_words ?time_hist
 
 let record ?timestamp ?note ~seq ?(dirty = false) ~commit cells =
   {
-    Record.schema_version = Record.current_schema_version;
-    seq;
+    Record.seq;
     timestamp;
     note;
     timeout_s = 90.;
@@ -113,6 +112,7 @@ let record_rejects_test () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "baseline record rejected: %s" e);
   expect_error "future schema" (patch "schema_version" (Json.Int 99) ok_json);
+  expect_error "older schema" (patch "schema_version" (Json.Int 2) ok_json);
   expect_error "negative seq" (patch "seq" (Json.Int (-1)) ok_json);
   expect_error "mistyped build" (patch "build" (Json.String "x") ok_json);
   expect_error "missing cells" (patch "cells" Json.Null ok_json);
@@ -149,8 +149,7 @@ let record_rejects_test () =
 let of_snapshot_test () =
   let snap cells pointsto =
     {
-      Snapshot.schema_version = 3;
-      timeout_s = 90.;
+      Snapshot.timeout_s = 90.;
       host_cores = None;
       pointsto;
       cells;
@@ -164,7 +163,7 @@ let of_snapshot_test () =
       time_s = 0.5;
       iterations = 10;
       nodes = Some 100;
-      memory = None;
+      peak_heap_words = None;
       time_hist = None;
       heap_components = [];
       jobs = 1;
@@ -290,22 +289,30 @@ let fixtures_load_test () =
   in
   Alcotest.(check int) "2obj+H appears late" 3 (List.length with_2objh)
 
-(* A v1 ledger line (no heap_components) must decode into the v2
-   record shape with an empty component list. *)
-let v1_record_compat_test () =
-  let v1 =
-    {|{"schema_version":1,"seq":0,"timeout_s":90.0,
-       "build":{"semver":"1.0.0","commit":"abc","dirty":false,
-                "ocaml":"5.1.0","profile":"release"},
-       "host":{"os_type":"Unix","word_size":64,"hostname":"h"},
-       "cells":[{"benchmark":"b","analysis":"a","timed_out":false,
-                 "time_s":1.0,"iterations":10}]}|}
-  in
-  match Result.bind (Json.of_string v1) Record.of_json with
-  | Error e -> Alcotest.failf "v1 record rejected: %s" e
-  | Ok r ->
-    let c = List.hd r.Record.cells in
-    Alcotest.(check bool) "no components" true (c.Record.heap_components = [])
+(* Every committed snapshot and ledger must load through the strict
+   readers, so a schema bump cannot leave a stale file behind. *)
+let committed_bench_files_test () =
+  List.iter
+    (fun path ->
+      match
+        Snapshot.of_string (In_channel.with_open_bin path In_channel.input_all)
+      with
+      | Ok t ->
+        Alcotest.(check bool)
+          (path ^ ": has cells") true (t.Snapshot.cells <> [])
+      | Error e -> Alcotest.failf "%s: %s" path e)
+    [ "../BENCH_table1.json"; "../BENCH_prop.json"; "cli/bench_snapshot.json" ];
+  List.iter
+    (fun path ->
+      Alcotest.(check bool)
+        (path ^ ": has records") true (load_fixture path <> []))
+    ("../bench/history.jsonl"
+    :: List.filter_map
+         (fun f ->
+           if Filename.check_suffix f ".jsonl" then
+             Some (Filename.concat "history" f)
+           else None)
+         (Array.to_list (Sys.readdir "history")))
 
 (* ------------------------------------------------------------------ *)
 (* Changepoint detection                                               *)
@@ -515,9 +522,8 @@ let git_script_test () =
     let c = List.hd snap.Snapshot.cells in
     Alcotest.(check (float 1e-9))
       "good time carried" 1.01 c.Snapshot.time_s;
-    Alcotest.(check bool) "peak heap carried" true
-      ((Option.get c.Snapshot.memory).Pta_obs.Memstats.peak_heap_words
-      = 1_000_000));
+    Alcotest.(check (option int)) "peak heap carried" (Some 1_000_000)
+      c.Snapshot.peak_heap_words);
   (* a dirty endpoint refuses the handoff: the hash does not name the tree *)
   let dirty_records =
     List.map
@@ -590,7 +596,7 @@ let render_structure_test () =
   Alcotest.(check bool) "ledger named" true (has regressed_fixture index)
 
 (* ------------------------------------------------------------------ *)
-(* v3: jobs-keyed cells, host cores, the cross-core-count guard        *)
+(* Jobs-keyed cells, host cores, the cross-core-count guard           *)
 (* ------------------------------------------------------------------ *)
 
 let record_with_cores ~seq ~commit ~cores cells =
@@ -610,12 +616,12 @@ let jobs_cells_test () =
   | Ok r' -> Alcotest.(check bool) "identical" true (r = r'));
   (* cell_find is jobs-keyed, defaulting to the sequential cell. *)
   (match Record.cell_find r ~benchmark:"cyclic" ~analysis:"insens" with
-  | Some c -> Alcotest.(check int) "default finds jobs=1" 1 c.Record.jobs
+  | Some c -> Alcotest.(check int) "default finds jobs=1" 1 c.Snapshot.jobs
   | None -> Alcotest.fail "sequential cell not found");
   (match Record.cell_find ~jobs:4 r ~benchmark:"cyclic" ~analysis:"insens" with
   | Some c ->
-    Alcotest.(check int) "jobs=4 cell found" 4 c.Record.jobs;
-    Alcotest.(check bool) "right cell" true (c.Record.time_s = 1.1)
+    Alcotest.(check int) "jobs=4 cell found" 4 c.Snapshot.jobs;
+    Alcotest.(check bool) "right cell" true (c.Snapshot.time_s = 1.1)
   | None -> Alcotest.fail "parallel cell not found");
   Alcotest.(check bool) "absent jobs count" true
     (Record.cell_find ~jobs:2 r ~benchmark:"cyclic" ~analysis:"insens" = None)
@@ -634,8 +640,7 @@ let of_snapshot_cores_test () =
   in
   let snap =
     {
-      Snapshot.schema_version = Snapshot.current_schema_version;
-      timeout_s = 90.;
+      Snapshot.timeout_s = 90.;
       host_cores = Some 4;
       pointsto = Some stamp;
       cells =
@@ -647,7 +652,7 @@ let of_snapshot_cores_test () =
             time_s = 1.0;
             iterations = 10;
             nodes = None;
-            memory = None;
+            peak_heap_words = None;
             time_hist = None;
             heap_components = [];
             jobs = 4;
@@ -662,8 +667,8 @@ let of_snapshot_cores_test () =
     Alcotest.(check (option int)) "snapshot cores win" (Some 4)
       r.Record.host.Record.cores;
     let c = List.hd r.Record.cells in
-    Alcotest.(check int) "jobs copied" 4 c.Record.jobs;
-    Alcotest.(check int) "domains copied" 2 c.Record.domains
+    Alcotest.(check int) "jobs copied" 4 c.Snapshot.jobs;
+    Alcotest.(check int) "domains copied" 2 c.Snapshot.domains
 
 let trend_cores_guard_test () =
   let series final_cores =
@@ -690,7 +695,7 @@ let trend_cores_guard_test () =
   | Ok fs ->
     Alcotest.failf "cross-core comparison flagged %d time(s)" (List.length fs)
   | Error e -> Alcotest.fail e);
-  (* Unknown cores (pre-v3 records) only match unknown. *)
+  (* Unknown cores only match unknown. *)
   match Trend.check_latest (series None) with
   | Ok [] -> ()
   | Ok fs -> Alcotest.failf "unknown-cores flagged %d time(s)" (List.length fs)
@@ -722,10 +727,11 @@ let tests =
     Alcotest.test_case "record JSON round-trip" `Quick record_roundtrip_test;
     Alcotest.test_case "record codec rejects" `Quick record_rejects_test;
     Alcotest.test_case "record from snapshot" `Quick of_snapshot_test;
-    Alcotest.test_case "v1 record back-compat" `Quick v1_record_compat_test;
     Alcotest.test_case "ledger append re-stamps seq" `Quick ledger_append_test;
     Alcotest.test_case "ledger load is strict" `Quick ledger_strict_test;
     Alcotest.test_case "committed fixtures load" `Quick fixtures_load_test;
+    Alcotest.test_case "committed bench files load strictly" `Quick
+      committed_bench_files_test;
     Alcotest.test_case "window stats" `Quick window_stats_test;
     Alcotest.test_case "clean fixture passes check" `Quick check_clean_test;
     Alcotest.test_case "planted regression flagged" `Quick check_regressed_test;

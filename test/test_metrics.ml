@@ -1,13 +1,12 @@
 (** Tests for the pta_metrics registry and the bench snapshot codec:
     exposition determinism, null-registry transparency of the solver,
-    histogram bucket semantics, v1/v2 snapshot round-tripping, and the
+    histogram bucket semantics, snapshot round-tripping, and the
     regression comparator's verdicts. *)
 
 module Registry = Pta_metrics.Registry
 module Snapshot = Pta_report.Bench_snapshot
 module Solver = Pta_solver.Solver
 module Intset = Pta_solver.Intset
-module Memstats = Pta_obs.Memstats
 module Census = Pta_obs.Census
 module Json = Pta_obs.Json
 module Metrics = Pta_clients.Metrics
@@ -326,31 +325,18 @@ let registry_validation_test () =
 (* Bench snapshot codec                                                *)
 (* ------------------------------------------------------------------ *)
 
-let mem : Memstats.delta =
-  {
-    Memstats.minor_allocated_words = 1000.;
-    promoted_delta_words = 100.;
-    major_allocated_words = 500.;
-    minor_collections_delta = 2;
-    major_collections_delta = 1;
-    compactions_delta = 0;
-    heap_words_after = 4096;
-    peak_heap_words = 8192;
-  }
-
 let cell ?(timed_out = false) ?(time_s = 1.0) ?(iterations = 100) ?nodes
-    ?memory ?time_hist ?(heap_components = []) ?(jobs = 1) ?domains benchmark
-    analysis =
+    ?peak_heap_words ?time_hist ?(heap_components = []) ?(jobs = 1) ?domains
+    benchmark analysis =
   {
-    Snapshot.benchmark; analysis; timed_out; time_s; iterations; nodes; memory;
-    time_hist; heap_components; jobs;
+    Snapshot.benchmark; analysis; timed_out; time_s; iterations; nodes;
+    peak_heap_words; time_hist; heap_components; jobs;
     domains = Option.value ~default:jobs domains;
   }
 
 let snap ?pointsto ?host_cores cells =
   {
-    Snapshot.schema_version = Snapshot.current_schema_version;
-    timeout_s = 60.;
+    Snapshot.timeout_s = 60.;
     host_cores;
     pointsto;
     cells;
@@ -372,7 +358,8 @@ let v2_roundtrip_test () =
     snap
       ~pointsto:(Json.Obj [ ("commit", Json.String "abc123") ])
       [
-        cell ~nodes:1234 ~memory:mem ~time_hist:hist ~heap_components:comps
+        cell ~nodes:1234 ~peak_heap_words:8192 ~time_hist:hist
+          ~heap_components:comps
           "antlr" "2obj+H";
         cell ~timed_out:true ~time_s:60.2 ~iterations:999 "bloat" "2obj+H";
       ]
@@ -380,13 +367,12 @@ let v2_roundtrip_test () =
   match Snapshot.of_string (Json.to_string (Snapshot.to_json t)) with
   | Error e -> Alcotest.fail e
   | Ok t' ->
-    Alcotest.(check int) "current schema" Snapshot.current_schema_version
-      t'.Snapshot.schema_version;
     Alcotest.(check bool) "stamp survives" true (t'.Snapshot.pointsto <> None);
     (match t'.Snapshot.cells with
     | [ c1; c2 ] ->
       Alcotest.(check (option int)) "nodes" (Some 1234) c1.Snapshot.nodes;
-      Alcotest.(check bool) "memory survives" true (c1.Snapshot.memory = Some mem);
+      Alcotest.(check (option int)) "peak heap survives" (Some 8192)
+        c1.Snapshot.peak_heap_words;
       Alcotest.(check bool) "hist survives" true
         (c1.Snapshot.time_hist = Some hist);
       Alcotest.(check bool) "components survive" true
@@ -399,59 +385,22 @@ let v2_roundtrip_test () =
       Alcotest.(check int) "abort iterations" 999 c2.Snapshot.iterations
     | _ -> Alcotest.fail "wrong cell count")
 
-(* A v1 document (no nodes/memory/pointsto) must still load, with the
-   v2-only fields absent — an old baseline keeps gating on time. *)
-let v1_compat_test () =
-  let v1 =
-    {|{"schema_version": 1, "timeout_s": 60.0, "cells": [
-        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
-         "time_s": 0.5, "iterations": 42}]}|}
-  in
-  match Snapshot.of_string v1 with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-    Alcotest.(check int) "schema v1" 1 t.Snapshot.schema_version;
-    Alcotest.(check bool) "no stamp" true (t.Snapshot.pointsto = None);
-    let c = List.hd t.Snapshot.cells in
-    Alcotest.(check (option int)) "no nodes" None c.Snapshot.nodes;
-    Alcotest.(check bool) "no memory" true (c.Snapshot.memory = None)
-
-(* v2 (memory, no hist) and v3 (hist, no heap_components) snapshots
-   predate the census block; both must still load. *)
-let v2_v3_compat_test () =
-  let v2 =
-    {|{"schema_version": 2, "timeout_s": 60.0, "cells": [
-        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
-         "time_s": 0.5, "iterations": 42, "nodes": 10,
-         "memory": {"minor_allocated_words": 1.0, "promoted_words": 0.0,
-                    "major_allocated_words": 0.0, "minor_collections": 0,
-                    "major_collections": 0, "compactions": 0,
-                    "heap_words": 100, "peak_heap_words": 200}}]}|}
-  in
-  let v3 =
-    {|{"schema_version": 3, "timeout_s": 60.0, "cells": [
-        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
-         "time_s": 0.5, "iterations": 42,
-         "time_hist": {"bounds": [1.0], "counts": [1, 0], "sum": 0.5}}]}|}
-  in
-  List.iter
-    (fun (label, src) ->
-      match Snapshot.of_string src with
-      | Error e -> Alcotest.failf "%s rejected: %s" label e
-      | Ok t ->
-        let c = List.hd t.Snapshot.cells in
-        Alcotest.(check bool)
-          (label ^ ": no components") true
-          (c.Snapshot.heap_components = []))
-    [ ("v2", v2); ("v3", v3) ]
-
+(* The reader accepts exactly the current version: older documents are
+   refused like future ones. *)
 let unsupported_schema_test () =
-  match Snapshot.of_string {|{"schema_version": 99, "timeout_s": 1, "cells": []}|} with
-  | Ok _ -> Alcotest.fail "expected an error"
-  | Error e ->
-    Alcotest.(check bool)
-      "names the version" true
-      (Helpers.contains_substring e "99")
+  List.iter
+    (fun v ->
+      match
+        Snapshot.of_string
+          (Printf.sprintf
+             {|{"schema_version": %d, "timeout_s": 1, "cells": []}|} v)
+      with
+      | Ok _ -> Alcotest.failf "schema %d: expected an error" v
+      | Error e ->
+        Alcotest.(check bool)
+          "names the version" true
+          (Helpers.contains_substring e (string_of_int v)))
+    [ 5; 99 ]
 
 (* ------------------------------------------------------------------ *)
 (* Regression comparator                                               *)
@@ -485,15 +434,14 @@ let regression_verdicts_test () =
   Alcotest.(check bool) "noise floor" false (Snapshot.has_regression r)
 
 let heap_verdict_test () =
-  let base = cell ~memory:mem "a" "x" in
-  let fat =
-    cell ~memory:{ mem with Memstats.peak_heap_words = 16384 } "a" "x"
-  in
+  let base = cell ~peak_heap_words:8192 "a" "x" in
+  let fat = cell ~peak_heap_words:16384 "a" "x" in
   let r = compare_cells [ base ] [ fat ] in
   Alcotest.(check bool) "heap regression" true (Snapshot.has_regression r);
-  (* Against a v1 baseline (no memory) there is nothing to gate on. *)
+  (* Against a baseline cell without a peak there is nothing to gate on. *)
   let r = compare_cells [ cell "a" "x" ] [ fat ] in
-  Alcotest.(check bool) "v1 baseline skips heap" false (Snapshot.has_regression r)
+  Alcotest.(check bool) "peak-less baseline skips heap" false
+    (Snapshot.has_regression r)
 
 let timeout_verdicts_test () =
   let fine = cell "a" "x" and dead = cell ~timed_out:true "a" "x" in
@@ -546,7 +494,7 @@ let component_verdict_test () =
       ~current:(snap [ grown ]) ()
   in
   Alcotest.(check bool) "loosened gate passes" false (Snapshot.has_regression r);
-  (* Baselines without census blocks (v1-v3) have nothing to gate on. *)
+  (* Baselines without census blocks have nothing to gate on. *)
   let r = compare_cells [ cell "a" "x" ] [ grown ] in
   Alcotest.(check bool) "component-less baseline passes" false
     (Snapshot.has_regression r)
@@ -576,7 +524,7 @@ let markdown_report_test () =
     (Helpers.contains_substring md "1 regression(s)")
 
 (* ------------------------------------------------------------------ *)
-(* Schema v5: jobs cells, host cores, the scaling gate                 *)
+(* Jobs cells, host cores, the scaling gate                           *)
 (* ------------------------------------------------------------------ *)
 
 let v5_jobs_roundtrip_test () =
@@ -598,8 +546,7 @@ let v5_jobs_roundtrip_test () =
       Alcotest.(check int) "parallel cell jobs" 4 c4.Snapshot.jobs;
       Alcotest.(check int) "parallel cell domains" 4 c4.Snapshot.domains
     | _ -> Alcotest.fail "wrong cell count"));
-  (* A sequential-only snapshot writes no jobs/domains/host_cores keys:
-     the v5 codec is byte-compatible with v4 output for old grids. *)
+  (* A sequential-only snapshot writes no jobs/domains/host_cores keys. *)
   let seq_json =
     Json.to_string (Snapshot.to_json (snap [ cell "a" "x" ]))
   in
@@ -679,7 +626,7 @@ let scaling_gate_test () =
    with
   | Snapshot.Scaling_skipped _ -> ()
   | _ -> Alcotest.fail "expected skip on a small host");
-  (* No core stamp: also a skip (old snapshot, unknown hardware). *)
+  (* No core stamp: also a skip (unknown hardware). *)
   (match
      Snapshot.check_scaling ~min_speedup:2.0 (grid ~host_cores:None ~par_time:1.0)
    with
@@ -713,8 +660,6 @@ let tests =
       histogram_to_hist_test;
     Alcotest.test_case "registry validation" `Quick registry_validation_test;
     Alcotest.test_case "snapshot v2 round-trip" `Quick v2_roundtrip_test;
-    Alcotest.test_case "snapshot v1 compat" `Quick v1_compat_test;
-    Alcotest.test_case "snapshot v2/v3 compat" `Quick v2_v3_compat_test;
     Alcotest.test_case "unsupported schema" `Quick unsupported_schema_test;
     Alcotest.test_case "time regression verdicts" `Quick
       regression_verdicts_test;
