@@ -239,7 +239,8 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
       let memory = Option.map Memstats.finish tracker in
       Option.iter (record_memory metrics ~phase:"solve") memory;
       if not (Registry.is_null metrics) then
-        record_census metrics (Solver.census solver);
+        Observer.phase config.Solver.Config.observer "census" (fun () ->
+            record_census metrics (Solver.census solver));
       emit_gauges config.Solver.Config.trace program solver;
       let stats =
         Option.map

@@ -1,16 +1,17 @@
 (* Reachable-heap census: attribute live heap words to named components.
 
-   The walk itself is delegated to [Obj.reachable_words], the runtime's
-   physical-identity-aware traversal (shared blocks counted once per
-   call).  Two aggregations on top of it give the two cost views:
+   Two aggregations give the two cost views:
 
-   - retained: one cumulative-prefix walk per component boundary; the
-     difference between consecutive prefixes is the words first reached
-     through that component, so a block shared between components is
-     charged exactly once, to the earliest owner in declaration order.
-   - unshared: the per-root walks summed, so a block referenced from k
-     roots is charged k times — the cost the same state would have if
-     nothing were shared.
+   - retained: one depth-first walk over every component's roots in
+     declaration order, with a single visited set (census_stubs.c), so
+     a block shared between components is charged exactly once, to the
+     earliest owner.  The walk counts blocks the way
+     [Obj.reachable_words] does, and it allocates nothing on the OCaml
+     heap while it runs, so no collection can move a block whose
+     address the visited set holds.
+   - unshared: the per-root [Obj.reachable_words] walks summed, so a
+     block referenced from k roots is charged k times — the cost the
+     same state would have if nothing were shared.
 
    [retained <= unshared] holds per component (every retained block is
    reachable from at least one of the component's roots), and the
@@ -53,37 +54,32 @@ let bytes_of_words t w = w * t.word_bytes
 (* Survey                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Words of a root array of [n] live roots: [Obj.reachable_words]
-   includes the array block itself (header + [n] fields); the empty
-   array is the static atom and counts zero. *)
-let prefix_words arr =
-  let n = Array.length arr in
-  if n = 0 then 0 else Obj.reachable_words (Obj.repr arr) - (n + 1)
+(* [retained groups out] walks the root groups in order with one
+   visited set and stores in [out.(g)] the words first reached from
+   [groups.(g)]; see census_stubs.c. *)
+external retained : Obj.t list array -> int array -> unit
+  = "pta_census_retained"
 
 let survey ?set_hist comps =
   (* Promote everything live out of the minor heap so the retained total
      is comparable to [heap_words] (major-heap words) at walk time. *)
   Gc.full_major ();
   let live_heap_words = (Gc.quick_stat ()).Gc.heap_words in
-  let rec go prefix prev rev = function
-    | [] -> List.rev rev
-    | (comp_name, roots) :: rest ->
-      let unshared_words =
-        List.fold_left (fun acc r -> acc + Obj.reachable_words r) 0 roots
-      in
-      let prefix = List.rev_append roots prefix in
-      (* Prefix order inside the array is irrelevant: only membership
-         decides what a cumulative walk reaches. *)
-      let acc = prefix_words (Array.of_list prefix) in
-      let c = { comp_name; retained_words = acc - prev; unshared_words } in
-      go prefix acc (c :: rev) rest
+  let groups = Array.of_list (List.map snd comps) in
+  let retained_words = Array.make (Array.length groups) 0 in
+  retained groups retained_words;
+  let components =
+    List.mapi
+      (fun i (comp_name, roots) ->
+        {
+          comp_name;
+          retained_words = retained_words.(i);
+          unshared_words =
+            List.fold_left (fun acc r -> acc + Obj.reachable_words r) 0 roots;
+        })
+      comps
   in
-  {
-    word_bytes = Sys.word_size / 8;
-    live_heap_words;
-    components = go [] 0 [] comps;
-    set_hist;
-  }
+  { word_bytes = Sys.word_size / 8; live_heap_words; components; set_hist }
 
 (* ------------------------------------------------------------------ *)
 (* Histogram helper                                                    *)
@@ -155,17 +151,30 @@ let component_of_json json =
     Error (Printf.sprintf "census: negative words in component %S" comp_name)
   else Ok { comp_name; retained_words; unshared_words }
 
+(* Every entry must be an integer: dropping a mistyped one would load a
+   different histogram that still passes the length check. *)
+let ints j =
+  Option.bind (Json.to_list j) (fun l ->
+      List.fold_right
+        (fun j acc ->
+          match (Json.to_int j, acc) with
+          | Some i, Some acc -> Some (i :: acc)
+          | _ -> None)
+        l (Some []))
+
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+  | _ -> true
+
 let hist_of_json json =
-  let* h_bounds =
-    field json "bounds" (fun j ->
-        Option.map (List.filter_map Json.to_int) (Json.to_list j))
-  in
-  let* h_counts =
-    field json "counts" (fun j ->
-        Option.map (List.filter_map Json.to_int) (Json.to_list j))
-  in
+  let* h_bounds = field json "bounds" ints in
+  let* h_counts = field json "counts" ints in
   if List.length h_counts <> List.length h_bounds + 1 then
     Error "census: intset_hist counts must have one more entry than bounds"
+  else if not (strictly_increasing h_bounds) then
+    Error "census: intset_hist bounds must strictly increase"
+  else if List.exists (fun n -> n < 0) h_counts then
+    Error "census: intset_hist counts must not be negative"
   else Ok { h_bounds; h_counts }
 
 let components_of_json json =

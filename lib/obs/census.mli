@@ -14,11 +14,20 @@
       component's {!sharing_factor}, the baseline any hash-consing or
       set-sharing optimisation must beat.
 
-    The walk is [Obj.reachable_words] underneath: physical-identity
-    aware, cycle safe, and identical across runs of a deterministic
-    program — census output is byte-stable JSON.  {!survey} runs
-    [Gc.full_major] first so minor-heap blocks are promoted and the
-    retained-vs-[heap_words] invariant is meaningful.
+    The retained figures come from one depth-first walk over all the
+    components' roots in order, with a single visited set: each block is
+    charged [1 + size] words to the component being walked when it is
+    first reached, with the accounting of [Obj.reachable_words] (infix
+    pointers count as their closure, a closure is scanned from the
+    start of its environment, blocks with tag [>= No_scan_tag] are
+    counted but not scanned, and on OCaml 4 blocks outside the heap weigh nothing).  The
+    walk allocates nothing on the OCaml heap, so no collection can move
+    a block it has already visited.  The unshared figures are per-root
+    [Obj.reachable_words] calls.  Both are physical-identity aware, cycle
+    safe, and identical across runs of a deterministic program — census
+    output is byte-stable JSON.  {!survey} runs [Gc.full_major] first so
+    minor-heap blocks are promoted and the retained-vs-[heap_words]
+    invariant is meaningful.
 
     Ownership rules for root sets: put the structures whose cost you
     want attributed {e first} (e.g. points-to sets before the node

@@ -518,12 +518,13 @@ let n_reachable t = Relation.cardinal t.reach
    absolute footprint per relation — the sharing factors stay near 1x,
    which is itself the comparison point against the native solver's
    shared Patricia-tree sets. *)
-let census t =
-  Pta_obs.Census.survey
-    [
-      ("var-points-to", [ Obj.repr t.vpt ]);
-      ("call-graph", [ Obj.repr t.cg ]);
-      ("reachable", [ Obj.repr t.reach ]);
-      ("throw-points-to", [ Obj.repr t.throwpt ]);
-      ("context-tables", [ Obj.repr t.ctx_store; Obj.repr t.hctx_store ]);
-    ]
+let census_roots t =
+  [
+    ("var-points-to", [ Obj.repr t.vpt ]);
+    ("call-graph", [ Obj.repr t.cg ]);
+    ("reachable", [ Obj.repr t.reach ]);
+    ("throw-points-to", [ Obj.repr t.throwpt ]);
+    ("context-tables", [ Obj.repr t.ctx_store; Obj.repr t.hctx_store ]);
+  ]
+
+let census t = Pta_obs.Census.survey (census_roots t)

@@ -73,3 +73,6 @@ val census : t -> Pta_obs.Census.t
     ["reachable"], ["throw-points-to"]) plus ["context-tables"].  Runs
     [Gc.full_major] and walks the reachable heap — call it once after
     {!run}, never inside a timed region. *)
+
+val census_roots : t -> (string * Obj.t list) list
+(** The named root groups {!census} surveys, in ownership order. *)

@@ -1481,6 +1481,21 @@ let record_final_metrics st =
 (* Reachable-heap census                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [fold_canonical st f acc] folds [f] over the node record of every
+   canonical id, in id order. *)
+let fold_canonical st =
+  let n = Vec.length st.nodes in
+  let canonical = Array.make (max n 1) false in
+  for nid = 0 to n - 1 do
+    canonical.(Unify.find st.unify nid) <- true
+  done;
+  fun f acc ->
+    let acc = ref acc in
+    for nid = 0 to n - 1 do
+      if canonical.(nid) then acc := f !acc (Vec.get st.nodes nid)
+    done;
+    !acc
+
 (* Census component order is an ownership order: a block reachable from
    several components is retained by the earliest one listed, so the
    points-to sets come first (they are the cost the paper's Table 1 is
@@ -1491,19 +1506,8 @@ let record_final_metrics st =
    SCC collapse makes unified node ids alias one shared record; roots
    are taken once per canonical id so the unshared view does not count
    a merged class once per member. *)
-let census st =
-  let n = Vec.length st.nodes in
-  let canonical = Array.make (max n 1) false in
-  for nid = 0 to n - 1 do
-    canonical.(Unify.find st.unify nid) <- true
-  done;
-  let fold_canonical f acc =
-    let acc = ref acc in
-    for nid = 0 to n - 1 do
-      if canonical.(nid) then acc := f !acc (Vec.get st.nodes nid)
-    done;
-    !acc
-  in
+let census_roots st =
+  let fold_canonical = fold_canonical st in
   let sets =
     fold_canonical
       (fun acc nd -> Obj.repr nd.all :: Obj.repr nd.pending :: acc)
@@ -1516,51 +1520,54 @@ let census st =
         :: Obj.repr nd.stores :: acc)
       []
   in
+  [
+    ("points-to-sets", sets);
+    ("edge-lists", edges);
+    ( "node-tables",
+      [
+        Obj.repr st.nodes;
+        Obj.repr st.var_nodes;
+        Obj.repr st.fld_nodes;
+        Obj.repr st.static_fld_nodes;
+        Obj.repr st.throw_nodes;
+        Obj.repr st.edge_seen;
+      ] );
+    ("context-tables", [ Obj.repr st.ctx_store; Obj.repr st.hctx_store ]);
+    ( "hobj-tables",
+      [
+        Obj.repr st.hobj_table;
+        Obj.repr st.hobj_heaps;
+        Obj.repr st.hobj_hctxs;
+        Obj.repr st.hobj_types;
+      ] );
+    ("unification-forest", [ Obj.repr st.unify ]);
+    ("call-graph-facts", [ Obj.repr st.reachable; Obj.repr st.call_edges ]);
+    ("worklists", [ Obj.repr st.pq; Obj.repr st.meth_queue ]);
+    ( "par-worklists",
+      (match st.par with
+      | None -> []
+      | Some eng ->
+        Array.to_list (Array.map Obj.repr eng.pe_queues)
+        @ [ Obj.repr eng.pe_canon; Obj.repr eng.pe_claims ]) );
+    ( "mailboxes",
+      (match st.par with
+      | None -> []
+      | Some eng -> [ Obj.repr eng.pe_mail ]) );
+    ( "memos",
+      [
+        Obj.repr st.ci_vpt; Obj.repr st.ci_targets; Obj.repr st.node_kinds;
+      ] );
+  ]
+
+let census st =
+  let roots = census_roots st in
   let cardinals =
-    fold_canonical (fun acc nd -> Intset.cardinal nd.all :: acc) []
+    fold_canonical st (fun acc nd -> Intset.cardinal nd.all :: acc) []
   in
   let set_hist =
     Census.hist_of_values ~bounds:(Census.pow2_bounds 14) cardinals
   in
-  Census.survey ~set_hist
-    [
-      ("points-to-sets", sets);
-      ("edge-lists", edges);
-      ( "node-tables",
-        [
-          Obj.repr st.nodes;
-          Obj.repr st.var_nodes;
-          Obj.repr st.fld_nodes;
-          Obj.repr st.static_fld_nodes;
-          Obj.repr st.throw_nodes;
-          Obj.repr st.edge_seen;
-        ] );
-      ("context-tables", [ Obj.repr st.ctx_store; Obj.repr st.hctx_store ]);
-      ( "hobj-tables",
-        [
-          Obj.repr st.hobj_table;
-          Obj.repr st.hobj_heaps;
-          Obj.repr st.hobj_hctxs;
-          Obj.repr st.hobj_types;
-        ] );
-      ("unification-forest", [ Obj.repr st.unify ]);
-      ("call-graph-facts", [ Obj.repr st.reachable; Obj.repr st.call_edges ]);
-      ("worklists", [ Obj.repr st.pq; Obj.repr st.meth_queue ]);
-      ( "par-worklists",
-        (match st.par with
-        | None -> []
-        | Some eng ->
-          Array.to_list (Array.map Obj.repr eng.pe_queues)
-          @ [ Obj.repr eng.pe_canon; Obj.repr eng.pe_claims ]) );
-      ( "mailboxes",
-        (match st.par with
-        | None -> []
-        | Some eng -> [ Obj.repr eng.pe_mail ]) );
-      ( "memos",
-        [
-          Obj.repr st.ci_vpt; Obj.repr st.ci_targets; Obj.repr st.node_kinds;
-        ] );
-    ]
+  Census.survey ~set_hist roots
 
 let solve_outcome ?(config = Config.default) program strategy =
   let obs = config.Config.observer in

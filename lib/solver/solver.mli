@@ -298,3 +298,6 @@ val census : t -> Pta_obs.Census.t
     Runs [Gc.full_major] and walks the reachable heap — milliseconds to
     seconds on big workloads; call it once after {!solve}, never inside
     a timed region. *)
+
+val census_roots : t -> (string * Obj.t list) list
+(** The named root groups {!census} surveys, in ownership order. *)

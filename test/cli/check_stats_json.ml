@@ -45,8 +45,13 @@ let () =
   (match Json.to_obj (get "phases") with
   | None -> fail "%s: key \"phases\" is not an object" path
   | Some phases ->
-    if not (List.mem_assoc "fixpoint" phases) then
-      fail "%s: phases lacks a \"fixpoint\" entry" path;
+    (* --stats-json implies a live registry, so the census runs and
+       reports its own cost next to the solver's phases. *)
+    List.iter
+      (fun name ->
+        if not (List.mem_assoc name phases) then
+          fail "%s: phases lacks a %S entry" path name)
+      [ "setup"; "fixpoint"; "census" ];
     List.iter
       (fun (name, v) ->
         match Json.to_float v with

@@ -306,9 +306,174 @@ let census_sharing_test () =
 
 let census_json_roundtrip_test () =
   let c = Solver.census (solve_for_census ()) in
-  match Census.of_json (Census.to_json c) with
+  (match Census.of_json (Census.to_json c) with
   | Error e -> Alcotest.failf "census round-trip: %s" e
-  | Ok c' -> Alcotest.(check bool) "identical" true (c = c')
+  | Ok c' -> Alcotest.(check bool) "identical" true (c = c'));
+  (* A histogram the reader must refuse rather than reinterpret. *)
+  let with_hist bounds counts =
+    match Census.to_json { c with Census.set_hist = None } with
+    | Json.Obj fields ->
+      Json.Obj
+        (fields
+        @ [
+            ( "intset_hist",
+              Json.Obj [ ("bounds", Json.List bounds); ("counts", Json.List counts) ]
+            );
+          ])
+    | _ -> Alcotest.fail "census JSON is not an object"
+  in
+  let i n = Json.Int n and str x = Json.String x in
+  List.iter
+    (fun (label, bounds, counts) ->
+      match Census.of_json (with_hist bounds counts) with
+      | Ok _ -> Alcotest.failf "accepted a histogram with %s" label
+      | Error _ -> ())
+    [
+      ("mistyped entries", [ i 1; str "x"; i 4 ], [ i 0; str "y"; i 1; i 2 ]);
+      ("a mistyped bound", [ i 1; str "x"; i 4 ], [ i 0; i 3; i 1; i 2 ]);
+      ("a mistyped count", [ i 1; i 2; i 4 ], [ i 0; i 3; Json.Null; i 2 ]);
+      ("repeated bounds", [ i 1; i 2; i 2 ], [ i 0; i 3; i 1; i 2 ]);
+      ("decreasing bounds", [ i 4; i 2; i 8 ], [ i 0; i 3; i 1; i 2 ]);
+      ("a negative count", [ i 1; i 2; i 4 ], [ i 0; i (-3); i 1; i 2 ]);
+      ("too few counts", [ i 1; i 2; i 4 ], [ i 0; i 3; i 1 ]);
+    ];
+  match Census.of_json (with_hist [ i 1; i 2; i 4 ] [ i 0; i 3; i 1; i 2 ]) with
+  | Error e -> Alcotest.failf "rejected a well-formed histogram: %s" e
+  | Ok c' ->
+    Alcotest.(check bool)
+      "well-formed histogram loads" true
+      (c'.Census.set_hist
+      = Some { Census.h_bounds = [ 1; 2; 4 ]; h_counts = [ 0; 3; 1; 2 ] })
+
+(* Differential census: [Census.survey]'s single walk against a copy of
+   the cumulative-prefix algorithm it replaced.  For each component the
+   reference walks every root seen so far with [Obj.reachable_words]
+   (minus the root array itself) and charges the growth over the
+   previous prefix, so a block shared between components lands on the
+   earliest one.  The root array is filled through [Array.make] rather
+   than [Array.of_list], so a boxed float at the head cannot turn it
+   into a flat float array. *)
+let reference_retained comps =
+  let prefix_words roots =
+    let n = List.length roots in
+    if n = 0 then 0
+    else begin
+      let arr = Array.make n (Obj.repr 0) in
+      List.iteri (fun i r -> arr.(i) <- r) roots;
+      Obj.reachable_words (Obj.repr arr) - (n + 1)
+    end
+  in
+  let _, _, rev =
+    List.fold_left
+      (fun (prefix, prev, rev) (name, roots) ->
+        let prefix = List.rev_append roots prefix in
+        let words = prefix_words prefix in
+        (prefix, words, (name, words - prev) :: rev))
+      ([], 0, []) comps
+  in
+  List.rev rev
+
+(* A full major collection first, so both walks see the same settled
+   graph (OCaml 4 short-circuits forced lazy values while marking). *)
+let check_census_against_reference label comps =
+  Gc.full_major ();
+  let expected = reference_retained comps in
+  let got =
+    List.map
+      (fun (c : Census.component) -> (c.Census.comp_name, c.Census.retained_words))
+      (Census.survey comps).Census.components
+  in
+  Alcotest.(check (list (pair string int))) label expected got
+
+type float_point = { fx : float; fy : float }
+
+(* Every heap shape the walk must account like [Obj.reachable_words]:
+   values are built at run time so they live in the heap on every
+   runtime, not in static data. *)
+let census_synthetic_test () =
+  let n = Sys.opaque_identity 7 in
+  let shared = List.init n (fun i -> (i, string_of_int i)) in
+  let a = ref [ shared ] and b = ref [ shared; List.tl shared ] in
+  (* a two-record cycle *)
+  let rec_ring = Array.make 1 (Obj.repr 0) in
+  let ring = [| Obj.repr rec_ring; Obj.repr (List.init n Fun.id) |] in
+  rec_ring.(0) <- Obj.repr ring;
+  let env = Array.init n (fun i -> i * i) in
+  let closure x = env.(0) + Array.length env + x in
+  let rec even k = k = 0 || odd (k - 1) && Array.length env > 0
+  and odd k = k <> 0 && even (k - 1) && List.length shared > 0 in
+  let point = { fx = float_of_int n; fy = 2.5 } in
+  let floats = Array.make n (float_of_int n) in
+  let boxed_float = Sys.opaque_identity (float_of_int n +. 0.5) in
+  let str = String.make (n * 3) 'x' and bytes = Bytes.create (n * 5) in
+  let i64 = Int64.add (Int64.of_int n) 1L in
+  let boxed = Some point in
+  let unforced = lazy (List.init n Fun.id) in
+  let forced = lazy (Array.make n 'c') in
+  ignore (Lazy.force forced);
+  let r = Obj.repr in
+  let comps =
+    [
+      ("shared-a", [ r a ]);
+      ("shared-b", [ r b; r shared ]);
+      ("cycle", [ r ring; r rec_ring ]);
+      ("closure", [ r closure; r env ]);
+      ("infix-odd-first", [ r odd ]);
+      ("infix-even", [ r even ]);
+      ("empty", []);
+      ("floats", [ r point; r floats; r boxed_float ]);
+      ("strings", [ r str; r bytes ]);
+      ("custom", [ r i64 ]);
+      ("lazy", [ r unforced; r forced ]);
+      ("immediates", [ r 42; r (); r true; r [] ]);
+      ("duplicates", [ r str; r env; r i64; r boxed; r boxed ]);
+    ]
+  in
+  check_census_against_reference "synthetic" comps;
+  (* One component, one root: the walk is [Obj.reachable_words]. *)
+  List.iter
+    (fun (name, root) ->
+      Gc.full_major ();
+      match (Census.survey [ (name, [ root ]) ]).Census.components with
+      | [ c ] ->
+        Alcotest.(check int) name (Obj.reachable_words root)
+          c.Census.retained_words
+      | _ -> Alcotest.fail "one component expected")
+    [
+      ("list", r shared); ("closure", r closure); ("infix", r odd);
+      ("float record", r point); ("float array", r floats);
+      ("boxed float", r boxed_float); ("int64", r i64);
+      ("lazy", r unforced); ("cycle", r ring);
+    ];
+  ignore (Sys.opaque_identity (a, b, closure, even, odd))
+
+let census_solver_reference_test () =
+  List.iter
+    (fun (workload, analysis, jobs) ->
+      let program =
+        Pta_workloads.Workloads.program
+          (Option.get (Pta_workloads.Profile.by_name workload))
+      in
+      let factory = Option.get (Pta_context.Strategies.by_name analysis) in
+      let config = Solver.Config.make ~jobs () in
+      let solver = Solver.solve ~config program (factory program) in
+      check_census_against_reference
+        (Printf.sprintf "%s/%s jobs=%d" workload analysis jobs)
+        (Solver.census_roots solver))
+    (List.concat_map
+       (fun workload ->
+         List.map
+           (fun analysis -> (workload, analysis, 1))
+           [ "insens"; "1call"; "2obj+H"; "S-2obj+H" ]
+         @ [ (workload, "S-2obj+H", 2) ])
+       [ "tiny"; "cyclic" ])
+
+let census_refimpl_reference_test () =
+  let program = tiny_program () in
+  let strategy = Pta_context.Strategies.get "S-2obj+H" program in
+  let t = Pta_refimpl.Refimpl.run program strategy in
+  check_census_against_reference "refimpl tiny/S-2obj+H"
+    (Pta_refimpl.Refimpl.census_roots t)
 
 let refimpl_budget_test () =
   let program = tiny_program () in
@@ -340,4 +505,10 @@ let tests =
       census_sharing_test;
     Alcotest.test_case "census JSON round-trip" `Quick
       census_json_roundtrip_test;
+    Alcotest.test_case "census walk matches prefix walks: synthetic" `Quick
+      census_synthetic_test;
+    Alcotest.test_case "census walk matches prefix walks: solver" `Quick
+      census_solver_reference_test;
+    Alcotest.test_case "census walk matches prefix walks: refimpl" `Quick
+      census_refimpl_reference_test;
   ]
