@@ -12,7 +12,8 @@
 
    With no argument, runs table1 + figure3 + summary (sharing analysis
    runs).  PTA_BENCH_TIMEOUT (seconds, default 90) is the per-analysis
-   cutoff; timeouts print as "-" like the paper's dashes.
+   cutoff; timeouts print as "-" like the paper's dashes.  A value that
+   is not a positive finite number exits 2.
 
    Regression-harness mode: `--baseline FILE --compare` re-runs the
    grid (optionally restricted with `--benchmarks a,b,c`), diffs it
@@ -39,8 +40,14 @@ module Registry = Pta_metrics.Registry
 
 let timeout_s =
   match Sys.getenv_opt "PTA_BENCH_TIMEOUT" with
-  | Some s -> float_of_string s
   | None -> 90.
+  | Some s -> (
+    match float_of_string_opt s with
+    | Some t when Float.is_finite t && t > 0. -> t
+    | _ ->
+      Printf.eprintf
+        "PTA_BENCH_TIMEOUT=%S: expected a positive number of seconds\n" s;
+      exit 2)
 
 (* The benchmark subset under test; `--benchmarks` narrows it. *)
 let selected_profiles = ref Profile.dacapo
@@ -227,16 +234,10 @@ let cell_stats_json profile_name analysis_name = function
         (("benchmark", Json.String profile_name)
         :: (fields @ [ ("trace", trace_summary_json tprofile) ]))
     | _ -> assert false)
-  | _, Timed_out abort ->
-    Json.Obj
-      [
-        ("benchmark", Json.String profile_name);
-        ("analysis", Json.String analysis_name);
-        ("timed_out", Json.Bool true);
-        ("elapsed_s", Json.Float abort.Pta_obs.Budget.elapsed_s);
-        ("iterations", Json.Int abort.Pta_obs.Budget.iterations);
-        ("nodes", Json.Int abort.Pta_obs.Budget.nodes);
-      ]
+  | _, Timed_out abort -> (
+    match Run_stats.timed_out_json ~analysis:analysis_name abort with
+    | Json.Obj fields -> Json.Obj (("benchmark", Json.String profile_name) :: fields)
+    | _ -> assert false)
 
 (* The snapshot of the current grid, one cell per selected
    (benchmark, analysis, jobs). *)
@@ -665,14 +666,22 @@ let cmd_summary () =
 (* Ablation study: the bad context combinations of Section 3            *)
 (* ------------------------------------------------------------------ *)
 
-let cmd_ablation () =
-  print_endline "=== Ablation: the context combinations the paper dismisses ===";
-  print_endline
-    "(X-2obj+IH: call-site heap context; X-2obj+Hrev: inverted heap/hctx
-    \ significance; X-freemix: free mixing that can drop the receiver;
-    \ 2obj+H/fb: field-based instead of field-sensitive heap)
-";
-  let subjects = [ "2obj+H"; "S-2obj+H"; "X-2obj+IH"; "X-2obj+Hrev"; "X-freemix" ] in
+(* A single solve outside the [run_one] grid (no repeats, no stats),
+   for rows the grid's config does not cover: [None] on a timeout. *)
+let solve_once ?(field_based = false) program analysis =
+  match
+    Driver.run
+      ~config:(Solver.Config.make ~timeout_s ~field_based ())
+      program ~analysis
+  with
+  | Ok r -> Some (r.Driver.wall_time_s, Metrics.compute r.Driver.solver)
+  | Error (Driver.Timed_out _) -> None
+  | Error e -> Driver.report_and_exit e
+
+(* The ablation and future-work tables: one block per benchmark, one
+   row per subject analysis, then any [extra] rows (label and outcome)
+   for the benchmark's program. *)
+let print_subject_tables ?(extra = fun _ -> []) ~benchmarks subjects =
   List.iter
     (fun bench_name ->
       let profile = Option.get (Profile.by_name bench_name) in
@@ -682,47 +691,45 @@ let cmd_ablation () =
             [ "analysis"; "avg objs"; "cg edges"; "may-fail casts"; "time (s)";
               "sensitive vpt" ]
       in
+      let row label = function
+        | Some (secs, m) ->
+          Table.add_row t
+            [
+              label;
+              fmt_float m.Metrics.avg_objs_per_var;
+              fmt_int m.Metrics.call_graph_edges;
+              fmt_int m.Metrics.may_fail_casts;
+              Printf.sprintf "%.2f" secs;
+              fmt_int m.Metrics.sensitive_vpt;
+            ]
+        | None -> Table.add_row t [ label; "-"; "-"; "-"; "-"; "-" ]
+      in
       List.iter
         (fun a ->
-          match run_one profile a with
-          | c, Done (m, _, _) ->
-            Table.add_row t
-              [
-                a;
-                fmt_float m.Metrics.avg_objs_per_var;
-                fmt_int m.Metrics.call_graph_edges;
-                fmt_int m.Metrics.may_fail_casts;
-                Printf.sprintf "%.2f" c.Snapshot.time_s;
-                fmt_int m.Metrics.sensitive_vpt;
-              ]
-          | _, Timed_out _ -> Table.add_row t [ a; "-"; "-"; "-"; "-"; "-" ])
+          row a
+            (match run_one profile a with
+            | c, Done (m, _, _) -> Some (c.Snapshot.time_s, m)
+            | _, Timed_out _ -> None))
         subjects;
-      (* Field-based heap abstraction as a further ablation row. *)
-      (let program = Workloads.program profile in
-       let factory = Option.get (Strategies.by_name "2obj+H") in
-       match
-         let t0 = Unix.gettimeofday () in
-         let solver =
-           Solver.solve
-             ~config:(Solver.Config.make ~timeout_s ~field_based:true ())
-             program (factory program)
-         in
-         (Unix.gettimeofday () -. t0, Metrics.compute solver)
-       with
-       | secs, m ->
-         Table.add_row t
-           [
-             "2obj+H/fb";
-             fmt_float m.Metrics.avg_objs_per_var;
-             fmt_int m.Metrics.call_graph_edges;
-             fmt_int m.Metrics.may_fail_casts;
-             Printf.sprintf "%.2f" secs;
-             fmt_int m.Metrics.sensitive_vpt;
-           ]
-       | exception Solver.Timeout _ ->
-         Table.add_row t [ "2obj+H/fb"; "-"; "-"; "-"; "-"; "-" ]);
+      List.iter
+        (fun (label, outcome) -> row label outcome)
+        (extra (Workloads.program profile));
       Printf.printf "--- %s ---\n%s\n" bench_name (Table.render t))
-    [ "antlr"; "luindex"; "pmd" ]
+    benchmarks
+
+let cmd_ablation () =
+  print_endline "=== Ablation: the context combinations the paper dismisses ===";
+  print_endline
+    "(X-2obj+IH: call-site heap context; X-2obj+Hrev: inverted heap/hctx
+    \ significance; X-freemix: free mixing that can drop the receiver;
+    \ 2obj+H/fb: field-based instead of field-sensitive heap)
+";
+  (* Field-based heap abstraction as a further ablation row. *)
+  print_subject_tables
+    ~extra:(fun program ->
+      [ ("2obj+H/fb", solve_once ~field_based:true program "2obj+H") ])
+    ~benchmarks:[ "antlr"; "luindex"; "pmd" ]
+    [ "2obj+H"; "S-2obj+H"; "X-2obj+IH"; "X-2obj+Hrev"; "X-freemix" ]
 
 (* ------------------------------------------------------------------ *)
 (* Future work (paper Section 6): adaptive context constructors         *)
@@ -734,36 +741,10 @@ let cmd_futurework () =
     "(A-*: MergeStatic/Record inspect the incoming context's form;\n\
     \ AD-*: per-callee depth dispatch on a hotness oracle;\n\
     \ CS-*: cut-shortcut — trivial calls threaded through the caller)\n";
-  let subjects =
+  print_subject_tables
+    ~benchmarks:[ "antlr"; "jython"; "lusearch" ]
     [ "2obj+H"; "S-2obj+H"; "A-2obj+H"; "AD-2obj+H"; "CS-2obj+H"; "2type+H";
       "S-2type+H"; "A-2type+H" ]
-  in
-  List.iter
-    (fun bench_name ->
-      let profile = Option.get (Profile.by_name bench_name) in
-      let t =
-        Table.create
-          ~headers:
-            [ "analysis"; "avg objs"; "cg edges"; "may-fail casts"; "time (s)";
-              "sensitive vpt" ]
-      in
-      List.iter
-        (fun a ->
-          match run_one profile a with
-          | c, Done (m, _, _) ->
-            Table.add_row t
-              [
-                a;
-                fmt_float m.Metrics.avg_objs_per_var;
-                fmt_int m.Metrics.call_graph_edges;
-                fmt_int m.Metrics.may_fail_casts;
-                Printf.sprintf "%.2f" c.Snapshot.time_s;
-                fmt_int m.Metrics.sensitive_vpt;
-              ]
-          | _, Timed_out _ -> Table.add_row t [ a; "-"; "-"; "-"; "-"; "-" ])
-        subjects;
-      Printf.printf "--- %s ---\n%s\n" bench_name (Table.render t))
-    [ "antlr"; "jython"; "lusearch" ]
 
 (* ------------------------------------------------------------------ *)
 (* Scaling study (extension): how cost grows with program size          *)
@@ -785,19 +766,10 @@ let cmd_scaling () =
       in
       let program = Workloads.program profile in
       let cell name =
-        let factory = Option.get (Strategies.by_name name) in
-        match
-          let t0 = Unix.gettimeofday () in
-          let solver =
-            Solver.solve
-              ~config:(Solver.Config.make ~timeout_s ())
-              program (factory program)
-          in
-          (Unix.gettimeofday () -. t0, Metrics.compute solver)
-        with
-        | secs, m ->
+        match solve_once program name with
+        | Some (secs, m) ->
           (Printf.sprintf "%.2f" secs, fmt_int m.Metrics.sensitive_vpt)
-        | exception Solver.Timeout _ -> ("-", "-")
+        | None -> ("-", "-")
       in
       let t1, s1 = cell "1obj" in
       let t2, s2 = cell "2obj+H" in

@@ -23,7 +23,14 @@
    All subcommands share the exit-code contract enforced by
    [Pta_driver.Driver]: 1 = MJ parse/semantic error, 2 = unknown
    analysis (or benchmark), 3 = analysis timeout.  [check] adds
-   4 = at least one error-severity diagnostic. *)
+   4 = at least one error-severity diagnostic.  The per-strategy tables
+   of [compare] and [taint] print a timed-out strategy as "-" instead
+   of exiting 3.
+
+   Every analysing subcommand goes from flags to a solved analysis the
+   same way: the [target] term (FILE..., -a, --no-stdlib, --timeout)
+   and a [runner] (trace sink, metric registry, --stats-json/--trace
+   outputs, report stream), or [run_datalog] for --datalog. *)
 
 module Ir = Pta_ir.Ir
 module Solver = Pta_solver.Solver
@@ -114,6 +121,18 @@ let profile_arg =
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
+let meth_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "method" ] ~docv:"Class.meth/arity" ~doc:"Qualified method name.")
+
+let var_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "var" ] ~docv:"NAME" ~doc:"Local variable name.")
+
 (* Exit-code contract, rendered into every subcommand's man page. *)
 let common_exits =
   [
@@ -127,6 +146,16 @@ let common_exits =
 let check_exits =
   Cmd.Exit.info 4 ~doc:"when any error-severity diagnostic is reported."
   :: common_exits
+
+(* The per-strategy tables of [compare] and [taint] print a strategy
+   that runs out of time as a "-" row and go on, so a timeout there
+   never exits 3. *)
+let table_exits ~success ?timeout () =
+  (Cmd.Exit.info 0 ~doc:success
+  :: List.filter
+       (fun i -> not (List.mem (Cmd.Exit.info_code i) [ 0; 3 ]))
+       common_exits)
+  @ Option.to_list (Option.map (fun doc -> Cmd.Exit.info 3 ~doc) timeout)
 
 let handle = function Ok v -> v | Error e -> Driver.report_and_exit e
 
@@ -147,17 +176,22 @@ let progress_observer () =
         (String.make 24 ' '))
     ()
 
-let config_of ?timeout_s ?jobs ?trace ?metrics ~progress () =
-  let observer = if progress then progress_observer () else Observer.null in
-  Solver.Config.make ?timeout_s ?jobs ~observer ?trace ?metrics ()
-
-(* Stats collection implies a live metric registry, so [--stats-json]
-   documents carry the [memory] and [metrics] blocks. *)
-let metrics_for ~collect_stats ~analysis =
-  if collect_stats then Registry.create ~labels:[ ("analysis", analysis) ] ()
-  else Registry.null
-
 let sources_of files = List.map (fun f -> Driver.File f) files
+
+let fail_usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "pointsto: %s\n" msg;
+      exit 2)
+    fmt
+
+let read_file path =
+  match open_in_bin path with
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  | exception Sys_error msg -> fail_usage "cannot read %s: %s" path msg
 
 (* Exits 123 (cmdliner's "indiscriminate error") on I/O failure rather
    than dying with an uncaught Sys_error. *)
@@ -177,38 +211,148 @@ let write_output path contents =
   if String.equal path "-" then (print_string contents; flush stdout)
   else write_file path contents
 
-let stdout_dest = function Some "-" -> true | _ -> false
-
-(* The human-readable report goes to stdout unless some machine output
-   claimed it. *)
-let report_ppf ~machine_on_stdout =
-  if machine_on_stdout then Format.err_formatter else Format.std_formatter
-
-let trace_sink = function
-  | None -> Trace.null
-  | Some _ -> Trace.create ()
-
-let emit_trace trace_file trace =
-  Option.iter
-    (fun path -> write_output path (Json.to_string (Trace.to_chrome_json trace)))
-    trace_file
-
 (* Every machine-readable stats document carries the build stamp, so a
    recorded number can be traced back to the binary that produced it. *)
 let stamp_build = function
   | Json.Obj fields -> Json.Obj (fields @ [ ("pointsto", Version.to_json ()) ])
   | j -> j
 
-let stats_doc stats = stamp_build (Run_stats.to_json stats)
+(* ------------------------------------------------------------------ *)
+(* Target and runner: from flags to a solved analysis                  *)
+(* ------------------------------------------------------------------ *)
 
-let emit_stats ~ppf ~stats_json ~profile (r : Driver.run) =
-  match r.Driver.stats with
-  | None -> ()
-  | Some stats ->
-    if profile then Format.fprintf ppf "%a@." Run_stats.pp stats;
-    Option.iter
-      (fun path -> write_output path (Json.to_string (stats_doc stats)))
-      stats_json
+(* What a subcommand analyses.  [analysis] is the strategy argument:
+   one name for most subcommands, a list for [compare], an option for
+   [taint]. *)
+type 'a target = {
+  files : string list;
+  analysis : 'a;
+  no_stdlib : bool;
+  timeout_s : float option;
+}
+
+let target_of ?(files = files_arg) analysis =
+  let make files analysis no_stdlib timeout_s =
+    { files; analysis; no_stdlib; timeout_s }
+  in
+  Term.(const make $ files $ analysis $ no_stdlib_arg $ timeout_arg)
+
+let target = target_of analysis_arg
+
+(* How a subcommand observes its solves.  The runner owns the trace
+   sink, the per-run metric registry, the [--stats-json] and [--trace]
+   outputs, and [ppf], the human-readable report's stream: stdout
+   unless a machine output claimed it. *)
+type runner = {
+  jobs : int option;
+  stats_json : string option;
+  trace_file : string option;
+  progress : bool;
+  profile : bool;
+  trace : Trace.t;
+  ppf : Format.formatter;
+}
+
+let runner ?jobs ?stats_json ?trace_file ?(progress = false) ?(profile = false)
+    ?trace () =
+  let trace =
+    match (trace, trace_file) with
+    | Some t, _ -> t
+    | None, Some _ -> Trace.create ()
+    | None, None -> Trace.null
+  in
+  let on_stdout = function Some "-" -> true | _ -> false in
+  {
+    jobs; stats_json; trace_file; progress; profile; trace;
+    ppf =
+      (if on_stdout stats_json || on_stdout trace_file then Format.err_formatter
+       else Format.std_formatter);
+  }
+
+(* [analyze] and [compare] take every observation flag. *)
+let observing_runner =
+  let make jobs stats_json trace_file progress profile =
+    runner ~jobs ?stats_json ?trace_file ~progress ~profile ()
+  in
+  Term.(
+    const make $ jobs_arg $ stats_json_arg $ trace_arg $ progress_arg
+    $ profile_arg)
+
+let tracing_runner =
+  Term.(const (fun trace_file -> runner ?trace_file ()) $ trace_arg)
+
+let collect_stats r = r.stats_json <> None || r.profile
+
+(* Stats collection implies a live metric registry, so [--stats-json]
+   documents carry the [memory] and [metrics] blocks.  A caller-owned
+   [metrics] registry replaces it. *)
+let config ?metrics r t ~analysis =
+  let metrics =
+    match metrics with
+    | Some m -> m
+    | None when collect_stats r ->
+      Registry.create ~labels:[ ("analysis", analysis) ] ()
+    | None -> Registry.null
+  in
+  let observer = if r.progress then progress_observer () else Observer.null in
+  Solver.Config.make ?timeout_s:t.timeout_s ?jobs:r.jobs ~observer
+    ~trace:r.trace ~metrics ()
+
+let load ?metrics t =
+  handle
+    (Driver.load_program ~stdlib:(not t.no_stdlib) ?metrics (sources_of t.files))
+
+(* Load and solve the target; every failure exits with its code. *)
+let solve ?metrics r t =
+  handle
+    (Driver.load_and_run ~stdlib:(not t.no_stdlib)
+       ~config:(config ?metrics r t ~analysis:t.analysis)
+       ~collect_stats:(collect_stats r) ~analysis:t.analysis
+       (sources_of t.files))
+
+(* One row of a per-strategy table: [Error] when the strategy ran out
+   of time; any other failure exits, even mid-table. *)
+let solve_row r t program ~analysis =
+  match
+    Driver.run ~config:(config r t ~analysis) ~collect_stats:(collect_stats r)
+      program ~analysis
+  with
+  | Ok res -> Ok res
+  | Error (Driver.Timed_out { abort; _ }) -> Error abort
+  | Error e -> Driver.report_and_exit e
+
+(* Print a run's [--profile] block and return its stats document. *)
+let stats_of r (res : Driver.run) =
+  Option.map
+    (fun stats ->
+      if r.profile then Format.fprintf r.ppf "%a@." Run_stats.pp stats;
+      stamp_build (Run_stats.to_json stats))
+    res.Driver.stats
+
+(* Write the machine outputs: [stats] to [--stats-json], then the
+   trace. *)
+let finish ?stats r =
+  Option.iter
+    (fun path ->
+      Option.iter (fun doc -> write_output path (Json.to_string doc)) stats)
+    r.stats_json;
+  Option.iter
+    (fun path ->
+      write_output path (Json.to_string (Trace.to_chrome_json r.trace)))
+    r.trace_file
+
+(* The [--datalog] path of profile, metrics and heapmap: the reference
+   engine on the same target, under the same budget and exit codes.
+   Returns its state and the wall time of the engine run. *)
+let run_datalog ?trace ?metrics t =
+  let program = load ?metrics t in
+  let strategy = handle (Driver.strategy_of_name program t.analysis) in
+  let budget = Pta_obs.Budget.of_seconds_opt t.timeout_s in
+  let clock = Pta_obs.Clock.create () in
+  match Pta_refimpl.Refimpl.run ~budget ?trace ?metrics program strategy with
+  | d -> (d, Pta_obs.Clock.elapsed_s clock)
+  | exception Pta_obs.Budget.Exhausted abort ->
+    Driver.report_and_exit (Driver.Timed_out { analysis = t.analysis; abort })
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
@@ -258,35 +402,19 @@ let resolve_meth_var program meth_name var_name =
   (meth, var)
 
 let analyze_cmd =
-  let run files analysis no_stdlib timeout_s jobs stats_json trace_file
-      progress profile =
-    let trace = trace_sink trace_file in
-    let collect_stats = stats_json <> None || profile in
-    let metrics = metrics_for ~collect_stats ~analysis in
-    let config = config_of ?timeout_s ~jobs ~trace ~metrics ~progress () in
-    let ppf =
-      report_ppf
-        ~machine_on_stdout:(stdout_dest stats_json || stdout_dest trace_file)
-    in
-    let _program, r =
-      handle
-        (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~collect_stats
-           ~analysis (sources_of files))
-    in
-    let metrics = Metrics.compute r.Driver.solver in
-    Format.fprintf ppf "analysis: %s (%s)@." analysis
-      r.Driver.strategy.Pta_context.Strategy.description;
-    Format.fprintf ppf "%a@." Metrics.pp metrics;
-    Format.fprintf ppf "elapsed: %.3fs@." r.Driver.wall_time_s;
-    emit_stats ~ppf ~stats_json ~profile r;
-    emit_trace trace_file trace
+  let run t r =
+    let _program, res = solve r t in
+    let metrics = Metrics.compute res.Driver.solver in
+    Format.fprintf r.ppf "analysis: %s (%s)@." t.analysis
+      res.Driver.strategy.Pta_context.Strategy.description;
+    Format.fprintf r.ppf "%a@." Metrics.pp metrics;
+    Format.fprintf r.ppf "elapsed: %.3fs@." res.Driver.wall_time_s;
+    finish ?stats:(stats_of r res) r
   in
   let doc = "Run one points-to analysis and print its metrics." in
   Cmd.v
     (Cmd.info "analyze" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ jobs_arg $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
+    Term.(const run $ target $ observing_runner)
 
 let compare_cmd =
   let analyses_arg =
@@ -296,161 +424,83 @@ let compare_cmd =
       & opt (list string) [ "1call"; "1obj"; "SB-1obj"; "2obj+H"; "S-2obj+H"; "2type+H" ]
       & info [ "analyses" ] ~docv:"NAMES" ~doc)
   in
-  let run files analyses no_stdlib timeout_s jobs stats_json trace_file
-      progress profile =
-    let program = handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files)) in
-    (* One shared sink: the trace holds every analysis back to back. *)
-    let trace = trace_sink trace_file in
-    let ppf =
-      report_ppf
-        ~machine_on_stdout:(stdout_dest stats_json || stdout_dest trace_file)
-    in
+  let run t r =
+    let program = load t in
     let table =
       Pta_report.Table.create
         ~headers:
           [ "analysis"; "avg objs"; "cg edges"; "poly v-calls"; "may-fail casts";
             "time (s)"; "sensitive vpt" ]
     in
-    let collect_stats = stats_json <> None || profile in
-    let all_stats = ref [] in
-    List.iter
-      (fun name ->
-        (* Resolution failures abort with exit 2 even mid-table. *)
-        let (_ : Pta_context.Strategy.t) =
-          handle (Driver.strategy_of_name program name)
-        in
-        let metrics = metrics_for ~collect_stats ~analysis:name in
-        let config = config_of ?timeout_s ~jobs ~trace ~metrics ~progress () in
-        match Driver.run ~config ~collect_stats program ~analysis:name with
-        | Ok r ->
-          let m = Metrics.compute r.Driver.solver in
-          (match r.Driver.stats with
-          | Some stats ->
-            if profile then Format.fprintf ppf "%a@." Run_stats.pp stats;
-            all_stats := stats_doc stats :: !all_stats
-          | None -> ());
-          Pta_report.Table.add_row table
-            [
-              name;
-              Printf.sprintf "%.2f" m.Metrics.avg_objs_per_var;
-              string_of_int m.Metrics.call_graph_edges;
-              Printf.sprintf "%d/%d" m.Metrics.poly_vcalls m.Metrics.total_vcalls;
-              Printf.sprintf "%d/%d" m.Metrics.may_fail_casts m.Metrics.total_casts;
-              Printf.sprintf "%.3f" r.Driver.wall_time_s;
-              string_of_int m.Metrics.sensitive_vpt;
-            ]
-        | Error (Driver.Timed_out { abort; _ }) ->
-          all_stats :=
-            Json.Obj
+    (* Every analysis runs into the runner's one trace sink, back to
+       back. *)
+    let docs =
+      List.filter_map
+        (fun name ->
+          match solve_row r t program ~analysis:name with
+          | Ok res ->
+            let m = Metrics.compute res.Driver.solver in
+            let doc = stats_of r res in
+            Pta_report.Table.add_row table
               [
-                ("analysis", Json.String name);
-                ("timed_out", Json.Bool true);
-                ("elapsed_s", Json.Float abort.Pta_obs.Budget.elapsed_s);
-                ("iterations", Json.Int abort.Pta_obs.Budget.iterations);
-                ("nodes", Json.Int abort.Pta_obs.Budget.nodes);
-              ]
-            :: !all_stats;
-          Pta_report.Table.add_row table [ name; "-"; "-"; "-"; "-"; "-"; "-" ]
-        | Error e -> Driver.report_and_exit e)
-      analyses;
-    Format.fprintf ppf "%s@?" (Pta_report.Table.render table);
-    Option.iter
-      (fun path ->
-        write_output path (Json.to_string (Json.List (List.rev !all_stats))))
-      stats_json;
-    emit_trace trace_file trace
+                name;
+                Printf.sprintf "%.2f" m.Metrics.avg_objs_per_var;
+                string_of_int m.Metrics.call_graph_edges;
+                Printf.sprintf "%d/%d" m.Metrics.poly_vcalls m.Metrics.total_vcalls;
+                Printf.sprintf "%d/%d" m.Metrics.may_fail_casts m.Metrics.total_casts;
+                Printf.sprintf "%.3f" res.Driver.wall_time_s;
+                string_of_int m.Metrics.sensitive_vpt;
+              ];
+            doc
+          | Error abort ->
+            Pta_report.Table.add_row table [ name; "-"; "-"; "-"; "-"; "-"; "-" ];
+            Some (Run_stats.timed_out_json ~analysis:name abort))
+        t.analysis
+    in
+    Format.fprintf r.ppf "%s@?" (Pta_report.Table.render table);
+    finish ~stats:(Json.List docs) r
   in
   let doc = "Compare several analyses on the same program." in
+  let exits =
+    table_exits
+      ~success:
+        "on success, also when an analysis exceeds its time budget: its row \
+         prints $(b,-) and the exit status is not 3."
+      ()
+  in
   Cmd.v
-    (Cmd.info "compare" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analyses_arg $ no_stdlib_arg $ timeout_arg
-      $ jobs_arg $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
-
-(* Load + run for the query-style subcommands: no stats machinery, but
-   the same exit-code contract, optional timeout and optional trace.
-   The trace file is written before returning, so a "-" destination has
-   stdout to itself; the returned formatter is where the report goes. *)
-let load_and_solve ?timeout_s ?jobs ?(trace_file = None) ~no_stdlib ~analysis
-    files =
-  let trace = trace_sink trace_file in
-  let config = Solver.Config.make ?timeout_s ?jobs ~trace () in
-  let program, r =
-    handle
-      (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-         (sources_of files))
-  in
-  emit_trace trace_file trace;
-  let ppf = report_ppf ~machine_on_stdout:(stdout_dest trace_file) in
-  (program, r.Driver.solver, ppf)
-
-let query_cmd =
-  let meth_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "method" ] ~docv:"Class.meth/arity" ~doc:"Qualified method name.")
-  in
-  let var_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "var" ] ~docv:"NAME" ~doc:"Local variable name.")
-  in
-  let run files analysis no_stdlib timeout_s trace_file meth_name var_name =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    let _, var = resolve_meth_var program meth_name var_name in
-    let heaps = Solver.ci_var_points_to solver var in
-    Format.fprintf ppf "%s may point to %d allocation site(s):@."
-      (Ir.Program.var_qualified_name program var)
-      (Intset.cardinal heaps);
-    Intset.iter
-      (fun h ->
-        Format.fprintf ppf "  %s@."
-          (Ir.Program.heap_name program (Ir.Heap_id.of_int h)))
-      heaps
-  in
-  let doc = "Print the points-to set of one variable." in
-  Cmd.v
-    (Cmd.info "query" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ meth_arg $ var_arg)
+    (Cmd.info "compare" ~doc ~exits)
+    Term.(const run $ target_of analyses_arg $ observing_runner)
 
 let casts_cmd =
-  let run files analysis no_stdlib timeout_s trace_file =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    let sites = Pta_clients.Casts.analyze solver in
+  let run t r =
+    let program, res = solve r t in
+    finish r;
+    let sites = Pta_clients.Casts.analyze res.Driver.solver in
     List.iter
       (fun (site : Pta_clients.Casts.site) ->
         match site.verdict with
         | Pta_clients.Casts.Safe -> ()
         | Pta_clients.Casts.May_fail witnesses ->
-          Format.fprintf ppf "MAY FAIL: (%s) cast of %s in %s@."
+          Format.fprintf r.ppf "MAY FAIL: (%s) cast of %s in %s@."
             (Ir.Program.type_name program site.cast_type)
             (Ir.Program.var_info program site.source).Ir.var_name
             (Ir.Program.meth_qualified_name program site.in_meth);
           List.iteri
             (fun i h ->
               if i < 3 then
-                Format.fprintf ppf "    witness: %s@."
+                Format.fprintf r.ppf "    witness: %s@."
                   (Ir.Program.heap_name program h))
             witnesses)
       sites;
-    Format.fprintf ppf "%d of %d casts may fail under %s@."
+    Format.fprintf r.ppf "%d of %d casts may fail under %s@."
       (Pta_clients.Casts.may_fail_count sites)
-      (List.length sites) analysis
+      (List.length sites) t.analysis
   in
   let doc = "List casts the analysis cannot prove safe." in
   Cmd.v
     (Cmd.info "casts" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg)
+    Term.(const run $ target $ tracing_runner)
 
 (* Shared by check and taint: load a spec file, exiting with the CLI
    usage code on parse errors so scripts can distinguish a bad spec from
@@ -523,20 +573,18 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "include-stdlib" ] ~doc)
   in
-  let run files analysis no_stdlib timeout_s jobs checkers taint_spec format
-      output include_stdlib =
+  let run t jobs checkers taint_spec format output include_stdlib =
     (match checkers with
     | Some [ "list" ] ->
       print_checker_listing ();
       exit 0
     | _ -> ());
-    if files = [] then begin
+    if t.files = [] then begin
       Printf.eprintf "pointsto: check: no MJ source files given\n";
       exit 124
     end;
-    let program, solver, _ppf =
-      load_and_solve ?timeout_s ~jobs ~no_stdlib ~analysis files
-    in
+    let program, res = solve (runner ~jobs ()) t in
+    let solver = res.Driver.solver in
     let taint =
       match load_taint_spec taint_spec with
       | None -> None
@@ -605,32 +653,25 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc ~man ~exits:check_exits)
     Term.(
-      const run $ files_opt_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ jobs_arg $ checkers_arg $ taint_spec_arg $ format_arg $ output_arg
+      const run $ target_of ~files:files_opt_arg analysis_arg $ jobs_arg
+      $ checkers_arg $ taint_spec_arg $ format_arg $ output_arg
       $ include_stdlib_arg)
 
 let taint_cmd =
-  let all_arg =
-    let doc =
-      "Run every strategy preset and print one flow-count line per \
-       strategy (the default when $(b,-a) is not given)."
-    in
-    Arg.(value & flag & info [ "all-strategies" ] ~doc)
-  in
-  let run files analysis_opt no_stdlib timeout_s trace_file taint_spec _all =
+  let run t r taint_spec =
     let entries =
       match load_taint_spec taint_spec with
       | Some entries -> entries
       | None -> Pta_taint.Spec.default
     in
-    match analysis_opt with
+    let ppf = r.ppf in
+    match t.analysis with
     | Some analysis ->
       (* One strategy: every flow, with its provenance chain. *)
-      let program, solver, ppf =
-        load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-      in
+      let program, res = solve r { t with analysis } in
+      finish r;
       let spec = Pta_taint.Spec.compile program entries in
-      let taint = Pta_taint.Taint.analyze solver spec in
+      let taint = Pta_taint.Taint.analyze res.Driver.solver spec in
       let flows = Pta_taint.Taint.flows taint in
       Format.fprintf ppf "%d source(s), %d sink method(s): %d flow(s) under %s@."
         (Pta_taint.Spec.n_sources spec)
@@ -648,33 +689,25 @@ let taint_cmd =
         flows
     | None ->
       (* The per-strategy precision column: flow counts across every
-         preset, so hybrids' spurious-flow advantage is visible. *)
-      let program, _r =
-        handle
-          (Driver.load_and_run ~stdlib:(not no_stdlib)
-             ~config:(Solver.Config.make ?timeout_s ())
-             ~analysis:"insens" (sources_of files))
-      in
+         preset, so hybrids' spurious-flow advantage is visible.  One
+         shared sink traces every preset back to back. *)
+      let program = load t in
       let spec = Pta_taint.Spec.compile program entries in
-      let ppf = report_ppf ~machine_on_stdout:false in
       Format.fprintf ppf "%d source(s), %d sink method(s)@."
         (Pta_taint.Spec.n_sources spec)
         (List.length (Pta_taint.Spec.sink_meths spec));
       List.iter
-        (fun (name, factory) ->
-          let strategy = factory program in
-          match
-            Solver.solve_outcome
-              ~config:(Solver.Config.make ?timeout_s ())
-              program strategy
-          with
-          | Solver.Aborted _ -> Format.fprintf ppf "%-12s -@." name
-          | Solver.Complete solver ->
+        (fun name ->
+          match solve_row r t program ~analysis:name with
+          | Error _ -> Format.fprintf ppf "%-12s -@." name
+          | Ok res ->
             let n =
-              Pta_taint.Taint.n_flows (Pta_taint.Taint.analyze solver spec)
+              Pta_taint.Taint.n_flows
+                (Pta_taint.Taint.analyze res.Driver.solver spec)
             in
             Format.fprintf ppf "%-12s %d flow(s)@." name n)
-        Strategies.all
+        Strategies.names;
+      finish r
   in
   let analysis_opt_arg =
     let doc =
@@ -709,20 +742,26 @@ let taint_cmd =
          spurious ones.";
     ]
   in
+  let exits =
+    table_exits
+      ~success:
+        "on success, also when a strategy of the per-strategy table exceeds \
+         its time budget: its row prints $(b,-) and the exit status is not 3."
+      ~timeout:"when the $(b,-a) analysis exceeds its time budget." ()
+  in
   Cmd.v
-    (Cmd.info "taint" ~doc ~man ~exits:common_exits)
+    (Cmd.info "taint" ~doc ~man ~exits)
     Term.(
-      const run $ files_arg $ analysis_opt_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ taint_spec_arg $ all_arg)
+      const run $ target_of analysis_opt_arg $ tracing_runner $ taint_spec_arg)
 
 let callgraph_cmd =
   let dot_arg =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz dot on stdout.")
   in
-  let run files analysis no_stdlib timeout_s trace_file dot =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
+  let run t r dot =
+    let program, res = solve r t in
+    finish r;
+    let ppf = r.ppf in
     (* Method-level edges: caller method -> callee method. *)
     let edges = Hashtbl.create 256 in
     Ir.Program.iter_invos program (fun invo info ->
@@ -732,7 +771,7 @@ let callgraph_cmd =
               ( Ir.Program.meth_qualified_name program info.Ir.invo_owner,
                 Ir.Program.meth_qualified_name program target )
               ())
-          (Solver.invo_targets solver invo));
+          (Solver.invo_targets res.Driver.solver invo));
     let sorted =
       Hashtbl.fold (fun e () acc -> e :: acc) edges [] |> List.sort compare
     in
@@ -751,34 +790,39 @@ let callgraph_cmd =
   let doc = "Print the computed (context-insensitive) call graph." in
   Cmd.v
     (Cmd.info "callgraph" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ dot_arg)
+    Term.(const run $ target $ tracing_runner $ dot_arg)
+
+let query_cmd =
+  let run t r meth_name var_name =
+    let program, res = solve r t in
+    finish r;
+    let _, var = resolve_meth_var program meth_name var_name in
+    let heaps = Solver.ci_var_points_to res.Driver.solver var in
+    Format.fprintf r.ppf "%s may point to %d allocation site(s):@."
+      (Ir.Program.var_qualified_name program var)
+      (Intset.cardinal heaps);
+    Intset.iter
+      (fun h ->
+        Format.fprintf r.ppf "  %s@."
+          (Ir.Program.heap_name program (Ir.Heap_id.of_int h)))
+      heaps
+  in
+  let doc = "Print the points-to set of one variable." in
+  Cmd.v
+    (Cmd.info "query" ~doc ~exits:common_exits)
+    Term.(const run $ target $ tracing_runner $ meth_arg $ var_arg)
 
 let why_cmd =
-  let meth_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "method" ] ~docv:"Class.meth/arity" ~doc:"Qualified method name.")
-  in
-  let var_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "var" ] ~docv:"NAME" ~doc:"Local variable name.")
-  in
-  let run files analysis no_stdlib timeout_s trace_file meth_name var_name =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    let meth, var = resolve_meth_var program meth_name var_name in
-    ignore meth;
-    let heaps = Solver.ci_var_points_to solver var in
+  let run t r meth_name var_name =
+    let program, res = solve r t in
+    finish r;
+    let ppf = r.ppf in
+    let _, var = resolve_meth_var program meth_name var_name in
+    let heaps = Solver.ci_var_points_to res.Driver.solver var in
     if Intset.is_empty heaps then
       Format.fprintf ppf "%s points to nothing under %s@."
         (Ir.Program.var_qualified_name program var)
-        analysis
+        t.analysis
     else
       Intset.iter
         (fun h ->
@@ -786,7 +830,9 @@ let why_cmd =
           Format.fprintf ppf "@[<v>%s may point to %s because:@,"
             (Ir.Program.var_qualified_name program var)
             (Ir.Program.heap_name program heap);
-          (match Pta_clients.Provenance.explain solver ~var ~heap with
+          (match
+             Pta_clients.Provenance.explain res.Driver.solver ~var ~heap
+           with
           | Some chain -> Pta_clients.Provenance.pp_chain ppf chain
           | None -> Format.fprintf ppf "  (no witness chain found)@,");
           Format.fprintf ppf "@]@.")
@@ -795,27 +841,22 @@ let why_cmd =
   let doc = "Explain why a variable may point to each of its allocation sites." in
   Cmd.v
     (Cmd.info "why" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ meth_arg $ var_arg)
+    Term.(const run $ target $ tracing_runner $ meth_arg $ var_arg)
 
 let stats_cmd =
-  let run files analysis no_stdlib timeout_s trace_file =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    Format.fprintf ppf "%a@."
+  let run t r =
+    let program, res = solve r t in
+    finish r;
+    Format.fprintf r.ppf "%a@."
       (Pta_clients.Stats.pp program)
-      (Pta_clients.Stats.compute solver)
+      (Pta_clients.Stats.compute res.Driver.solver)
   in
   let doc =
     "Show where the context-sensitive facts come from (heaviest methods,      fattest variables, context histogram)."
   in
   Cmd.v
     (Cmd.info "stats" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg)
+    Term.(const run $ target $ tracing_runner)
 
 let profile_cmd =
   let top_arg =
@@ -848,33 +889,15 @@ let profile_cmd =
       & opt sort_conv Pta_report.Hotspots.By_time
       & info [ "sort" ] ~docv:"KEY" ~doc)
   in
-  let run files analysis no_stdlib timeout_s trace_file top datalog sort =
+  let run t trace_file top datalog sort =
     (* Always trace — the profile is read off the sink's aggregates —
        but only write the event timeline when --trace asks for it.  GC
        accounting is on so the alloc column (and the alloc sort) have
        something to show. *)
-    let trace = Trace.create ~alloc:true () in
-    let ppf = report_ppf ~machine_on_stdout:(stdout_dest trace_file) in
+    let r = runner ~trace:(Trace.create ~alloc:true ()) ?trace_file () in
     let wall_time_s =
-      let t0 = Unix.gettimeofday () in
-      (if datalog then begin
-         let program =
-           handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files))
-         in
-         let strategy = handle (Driver.strategy_of_name program analysis) in
-         let budget = Pta_obs.Budget.of_seconds_opt timeout_s in
-         match Pta_refimpl.Refimpl.run ~budget ~trace program strategy with
-         | (_ : Pta_refimpl.Refimpl.t) -> ()
-         | exception Pta_obs.Budget.Exhausted abort ->
-           Driver.report_and_exit (Driver.Timed_out { analysis; abort })
-       end
-       else
-         let config = Solver.Config.make ?timeout_s ~trace () in
-         ignore
-           (handle
-              (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-                 (sources_of files))));
-      Unix.gettimeofday () -. t0
+      if datalog then snd (run_datalog ~trace:r.trace t)
+      else (snd (solve r t)).Driver.wall_time_s
     in
     let cat = if datalog then "rule" else "solver" in
     let rows =
@@ -890,14 +913,14 @@ let profile_cmd =
                 alloc_words = Trace.stat_alloc_words s;
               }
           else None)
-        (Trace.profile trace)
+        (Trace.profile r.trace)
     in
     let title = if datalog then "rule" else "edge kind" in
-    Format.fprintf ppf "analysis: %s (%s)@." analysis
+    Format.fprintf r.ppf "analysis: %s (%s)@." t.analysis
       (if datalog then "reference Datalog engine" else "native solver");
-    Format.fprintf ppf "%s" (Pta_report.Hotspots.render ~top ~sort ~title rows);
-    Format.fprintf ppf "elapsed: %.3fs@." wall_time_s;
-    emit_trace trace_file trace
+    Format.fprintf r.ppf "%s" (Pta_report.Hotspots.render ~top ~sort ~title rows);
+    Format.fprintf r.ppf "elapsed: %.3fs@." wall_time_s;
+    finish r
   in
   let doc =
     "Run one analysis under the tracer and print its hot-spot table \
@@ -907,8 +930,7 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile" ~doc ~exits:common_exits)
     Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ top_arg $ datalog_arg $ sort_arg)
+      const run $ target $ trace_arg $ top_arg $ datalog_arg $ sort_arg)
 
 let decompile_cmd =
   let run files no_stdlib =
@@ -923,11 +945,11 @@ let decompile_cmd =
     Term.(const run $ files_arg $ no_stdlib_arg)
 
 let exceptions_cmd =
-  let run files analysis no_stdlib timeout_s trace_file =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    let escapes = Pta_clients.Exceptions.escapes solver in
+  let run t r =
+    let program, res = solve r t in
+    finish r;
+    let ppf = r.ppf in
+    let escapes = Pta_clients.Exceptions.escapes res.Driver.solver in
     List.iter
       (fun (e : Pta_clients.Exceptions.escape) ->
         Format.fprintf ppf "%s may leak:@."
@@ -936,7 +958,9 @@ let exceptions_cmd =
           (fun h -> Format.fprintf ppf "    %s@." (Ir.Program.heap_name program h))
           e.exceptions)
       escapes;
-    let uncaught = Pta_clients.Exceptions.uncaught_at_entries solver in
+    let uncaught =
+      Pta_clients.Exceptions.uncaught_at_entries res.Driver.solver
+    in
     Format.fprintf ppf
       "%d method(s) may leak exceptions; %d site(s) may escape main@."
       (List.length escapes) (List.length uncaught)
@@ -944,9 +968,7 @@ let exceptions_cmd =
   let doc = "Report which exceptions may escape which methods." in
   Cmd.v
     (Cmd.info "exceptions" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg)
+    Term.(const run $ target $ tracing_runner)
 
 let dump_ir_cmd =
   let run files no_stdlib =
@@ -997,6 +1019,7 @@ let strategies_cmd =
     (Cmd.info "strategies" ~doc ~exits:common_exits)
     Term.(const run $ const ())
 
+
 let metrics_cmd =
   let output_arg =
     let doc =
@@ -1012,27 +1035,10 @@ let metrics_cmd =
     in
     Arg.(value & flag & info [ "datalog" ] ~doc)
   in
-  let run files analysis no_stdlib timeout_s output datalog =
-    let metrics = Registry.create ~labels:[ ("analysis", analysis) ] () in
-    (if datalog then begin
-       let program =
-         handle
-           (Driver.load_program ~stdlib:(not no_stdlib) ~metrics
-              (sources_of files))
-       in
-       let strategy = handle (Driver.strategy_of_name program analysis) in
-       let budget = Pta_obs.Budget.of_seconds_opt timeout_s in
-       match Pta_refimpl.Refimpl.run ~budget ~metrics program strategy with
-       | (_ : Pta_refimpl.Refimpl.t) -> ()
-       | exception Pta_obs.Budget.Exhausted abort ->
-         Driver.report_and_exit (Driver.Timed_out { analysis; abort })
-     end
-     else
-       let config = config_of ?timeout_s ~metrics ~progress:false () in
-       ignore
-         (handle
-            (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-               (sources_of files))));
+  let run t output datalog =
+    let metrics = Registry.create ~labels:[ ("analysis", t.analysis) ] () in
+    if datalog then ignore (run_datalog ~metrics t)
+    else ignore (solve ~metrics (runner ()) t);
     write_output output (Registry.to_openmetrics metrics)
   in
   let doc =
@@ -1044,9 +1050,7 @@ let metrics_cmd =
   in
   Cmd.v
     (Cmd.info "metrics" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ output_arg $ datalog_arg)
+    Term.(const run $ target $ output_arg $ datalog_arg)
 
 let heapmap_cmd =
   let format_arg =
@@ -1082,28 +1086,10 @@ let heapmap_cmd =
     in
     Arg.(value & flag & info [ "datalog" ] ~doc)
   in
-  let run files analysis no_stdlib timeout_s datalog format output
-      compare_file tol =
+  let run t datalog format output compare_file tol =
     let census =
-      if datalog then begin
-        let program =
-          handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files))
-        in
-        let strategy = handle (Driver.strategy_of_name program analysis) in
-        let budget = Pta_obs.Budget.of_seconds_opt timeout_s in
-        match Pta_refimpl.Refimpl.run ~budget program strategy with
-        | r -> Pta_refimpl.Refimpl.census r
-        | exception Pta_obs.Budget.Exhausted abort ->
-          Driver.report_and_exit (Driver.Timed_out { analysis; abort })
-      end
-      else
-        let config = config_of ?timeout_s ~progress:false () in
-        let _program, r =
-          handle
-            (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-               (sources_of files))
-        in
-        Solver.census r.Driver.solver
+      if datalog then Pta_refimpl.Refimpl.census (fst (run_datalog t))
+      else Solver.census (snd (solve (runner ()) t)).Driver.solver
     in
     (match format with
     | `Text -> write_output output (Format.asprintf "%a" Census.pp census)
@@ -1113,22 +1099,10 @@ let heapmap_cmd =
     match compare_file with
     | None -> ()
     | Some path -> (
-      let contents =
-        match open_in_bin path with
-        | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        | exception Sys_error msg ->
-          Printf.eprintf "pointsto: cannot read %s: %s\n" path msg;
-          exit 2
-      in
       let baseline =
-        match Result.bind (Json.of_string contents) Census.of_json with
+        match Result.bind (Json.of_string (read_file path)) Census.of_json with
         | Ok c -> c
-        | Error e ->
-          Printf.eprintf "pointsto: %s: %s\n" path e;
-          exit 2
+        | Error e -> fail_usage "%s: %s" path e
       in
       match
         Census.compare_components ~tol_pct:tol
@@ -1176,8 +1150,9 @@ let heapmap_cmd =
   Cmd.v
     (Cmd.info "heapmap" ~doc ~man ~exits:heapmap_exits)
     Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ datalog_arg $ format_arg $ output_arg $ compare_arg $ tol_arg)
+      const run $ target $ datalog_arg $ format_arg $ output_arg $ compare_arg
+      $ tol_arg)
+
 
 (* ------------------------------------------------------------------ *)
 (* bench: the perf-trajectory commands                                  *)
@@ -1198,21 +1173,6 @@ let bench_exits =
             flagged as a regression.";
   ]
   @ Cmd.Exit.defaults
-
-let fail_usage fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "pointsto: %s\n" msg;
-      exit 2)
-    fmt
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  | exception Sys_error msg -> fail_usage "cannot read %s: %s" path msg
 
 let load_ledger path =
   match Hledger.load path with Ok rs -> rs | Error e -> fail_usage "%s" e

@@ -145,7 +145,6 @@ let () =
         invalid_arg (Printf.sprintf "invalid preset %s: %s" name msg))
     presets
 
-let find_preset name = List.find_opt (fun pr -> pr.name = name) presets
 let names = List.map (fun pr -> pr.name) presets
 
 let factory_of_preset { name; term; description } program =

@@ -20,7 +20,6 @@ val presets : preset list
     selective hybrids, deeper-context extensions, adaptive hybrids,
     cut-shortcut analyses, ablations. *)
 
-val find_preset : string -> preset option
 val names : string list
 
 val all : (string * factory) list

@@ -11,7 +11,6 @@ val program_of_sources : (string * string) list -> Pta_ir.Ir.Program.t
     program. *)
 
 val program_of_string : ?file:string -> string -> Pta_ir.Ir.Program.t
-val program_of_files : string list -> Pta_ir.Ir.Program.t
 val report : Format.formatter -> exn -> bool
 (** Pretty-print a frontend error; returns [false] if the exception is
     not a frontend error (caller should re-raise). *)

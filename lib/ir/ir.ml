@@ -141,7 +141,6 @@ module Program = struct
   let n_meths p = Array.length p.meths
   let n_vars p = Array.length p.vars
   let n_heaps p = Array.length p.heaps
-  let n_invos p = Array.length p.invos
   let entries p = p.entries
   let object_type p = p.object_type
 

@@ -137,7 +137,6 @@ module Program : sig
   val n_meths : t -> int
   val n_vars : t -> int
   val n_heaps : t -> int
-  val n_invos : t -> int
 
   val entries : t -> Meth_id.t list
   (** Entry-point methods ([static main]) seeded as reachable. *)

@@ -70,4 +70,3 @@ let expired b =
   || (b.deadline < infinity && Clock.elapsed_s b.clock > b.deadline)
 
 let cancel b = b.cancelled <- true
-let is_limited b = b.timeout_s <> None

@@ -78,6 +78,3 @@ val iterations : t -> int
 
 val elapsed_s : t -> float
 (** Wall-clock seconds since the last {!start}. *)
-
-val is_limited : t -> bool
-(** Whether a deadline is armed (not whether it has expired). *)

@@ -153,20 +153,12 @@ let component_of_json json =
 
 (* Every entry must be an integer: dropping a mistyped one would load a
    different histogram that still passes the length check. *)
-let ints j =
-  Option.bind (Json.to_list j) (fun l ->
-      List.fold_right
-        (fun j acc ->
-          match (Json.to_int j, acc) with
-          | Some i, Some acc -> Some (i :: acc)
-          | _ -> None)
-        l (Some []))
-
 let rec strictly_increasing = function
   | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
   | _ -> true
 
 let hist_of_json json =
+  let ints = Json.to_list_of Json.to_int in
   let* h_bounds = field json "bounds" ints in
   let* h_counts = field json "counts" ints in
   if List.length h_counts <> List.length h_bounds + 1 then

@@ -269,3 +269,12 @@ let to_float = function
 let to_str = function String s -> Some s | _ -> None
 let to_obj = function Obj members -> Some members | _ -> None
 let to_list = function List items -> Some items | _ -> None
+
+let to_list_of conv j =
+  Option.bind (to_list j) (fun items ->
+      List.fold_right
+        (fun item acc ->
+          match (conv item, acc) with
+          | Some v, Some acc -> Some (v :: acc)
+          | _ -> None)
+        items (Some []))

@@ -32,3 +32,6 @@ val to_float : t -> float option
 val to_str : t -> string option
 val to_obj : t -> (string * t) list option
 val to_list : t -> t list option
+
+val to_list_of : (t -> 'a option) -> t -> 'a list option
+(** A list whose every item converts; [None] if any item does not. *)

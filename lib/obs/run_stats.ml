@@ -36,6 +36,16 @@ let make ~analysis ~wall_time_s ~sensitive_vpt_size ~n_ctxs ~n_hctxs ~n_hobjs
     metrics;
   }
 
+let timed_out_json ~analysis (abort : Budget.abort) =
+  Json.Obj
+    [
+      ("analysis", Json.String analysis);
+      ("timed_out", Json.Bool true);
+      ("elapsed_s", Json.Float abort.Budget.elapsed_s);
+      ("iterations", Json.Int abort.Budget.iterations);
+      ("nodes", Json.Int abort.Budget.nodes);
+    ]
+
 let to_json t =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   Json.Obj

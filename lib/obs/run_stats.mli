@@ -46,5 +46,10 @@ val make :
     pre-existing stats documents keep their shape. *)
 
 val to_json : t -> Json.t
+
+val timed_out_json : analysis:string -> Budget.abort -> Json.t
+(** The stats document of a run that exhausted its budget: the
+    analysis, [timed_out: true] and the abort payload. *)
+
 val of_json : Json.t -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -56,10 +56,8 @@ let hist_of_buckets ~sum buckets =
 let hist_of_json json =
   let err what = Error (Printf.sprintf "time_hist %s" what) in
   match
-    ( Option.map (List.filter_map Json.to_float)
-        (Option.bind (Json.member "bounds" json) Json.to_list),
-      Option.map (List.filter_map Json.to_int)
-        (Option.bind (Json.member "counts" json) Json.to_list),
+    ( Option.bind (Json.member "bounds" json) (Json.to_list_of Json.to_float),
+      Option.bind (Json.member "counts" json) (Json.to_list_of Json.to_int),
       Option.bind (Json.member "sum" json) Json.to_float )
   with
   | Some bounds, Some counts, Some sum ->
@@ -75,7 +73,7 @@ let hist_of_json json =
        not (incr bounds))
     then err "bounds must be strictly increasing"
     else Ok { bounds; counts; sum }
-  | _ -> err "needs bounds, counts and sum"
+  | _ -> err "needs numeric bounds, integer counts and a sum"
 
 let hist_count h = List.fold_left ( + ) 0 h.counts
 

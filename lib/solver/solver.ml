@@ -1698,7 +1698,6 @@ let strategy st = st.strategy
 let hierarchy st = st.hierarchy
 let hobj_heap st h = Heap_id.of_int (Vec.get st.hobj_heaps h)
 let hobj_hctx st h = Vec.get st.hobj_hctxs h
-let hobj_type st h = Vec.get st.hobj_types h
 let n_hobjs st = Vec.length st.hobj_heaps
 let ctx_value st id = Ctx.value st.ctx_store id
 let hctx_value st id = Ctx.value st.hctx_store id
@@ -1709,17 +1708,6 @@ let iter_var_points_to st f =
   Hashtbl.iter
     (fun (var, ctx) nid -> f (Var_id.of_int var) ctx (Vec.get st.nodes nid).all)
     st.var_nodes
-
-let iter_fld_points_to st f =
-  Hashtbl.iter
-    (fun (hobj, field) nid ->
-      f hobj (Field_id.of_int field) (Vec.get st.nodes nid).all)
-    st.fld_nodes
-
-let static_fld_points_to st field =
-  match Hashtbl.find_opt st.static_fld_nodes (Field_id.to_int field) with
-  | Some n -> (Vec.get st.nodes n).all
-  | None -> Intset.empty
 
 let iter_throw_points_to st f =
   Hashtbl.iter

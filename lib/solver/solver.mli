@@ -177,7 +177,6 @@ type hobj = int
 
 val hobj_heap : t -> hobj -> Pta_ir.Ir.Heap_id.t
 val hobj_hctx : t -> hobj -> Pta_context.Ctx.id
-val hobj_type : t -> hobj -> Pta_ir.Ir.Type_id.t
 val n_hobjs : t -> int
 
 (** {1 Contexts} *)
@@ -196,12 +195,6 @@ val n_hctxs : t -> int
 val iter_var_points_to :
   t -> (Pta_ir.Ir.Var_id.t -> Pta_context.Ctx.id -> Intset.t -> unit) -> unit
 (** Every (variable, context) node with its set of hobjs. *)
-
-val iter_fld_points_to :
-  t -> (hobj -> Pta_ir.Ir.Field_id.t -> Intset.t -> unit) -> unit
-
-val static_fld_points_to : t -> Pta_ir.Ir.Field_id.t -> Intset.t
-(** Objects a static field may hold (context-insensitive by nature). *)
 
 val iter_throw_points_to :
   t -> (Pta_ir.Ir.Meth_id.t -> Pta_context.Ctx.id -> Intset.t -> unit) -> unit

@@ -221,7 +221,6 @@ let label_name c label =
 let sink_positions c m =
   Option.value ~default:[] (Ir.Meth_id.Tbl.find_opt c.c_sinks m)
 
-let is_sink c m = Ir.Meth_id.Tbl.mem c.c_sinks m
 let is_sanitizer c m = Ir.Meth_id.Tbl.mem c.c_sanitizers m
 
 let sink_meths c =

@@ -18,5 +18,3 @@ let program profile =
     in
     Hashtbl.add cache profile.Profile.name program;
     program
-
-let program_by_name name = Option.map program (Profile.by_name name)

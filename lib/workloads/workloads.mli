@@ -8,5 +8,3 @@ val source : Profile.t -> string
 
 val program : Profile.t -> Pta_ir.Ir.Program.t
 (** Parse and lower ({!source}); memoized per profile name. *)
-
-val program_by_name : string -> Pta_ir.Ir.Program.t option

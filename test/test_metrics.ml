@@ -300,7 +300,21 @@ let histogram_to_hist_test () =
   in
   reject "length mismatch" { hist with Snapshot.counts = [ 1; 2 ] };
   reject "negative count" { hist with Snapshot.counts = [ 1; -1; 2; 1 ] };
-  reject "non-increasing bounds" { hist with Snapshot.bounds = [ 1.; 1.; 4. ] }
+  reject "non-increasing bounds" { hist with Snapshot.bounds = [ 1.; 1.; 4. ] };
+  (* Mistyped entries reject the histogram; dropping them would load a
+     different (still well-shaped) one. *)
+  match
+    Snapshot.hist_of_json
+      (Json.Obj
+         [
+           ("bounds", Json.List [ Json.Float 0.1; Json.String "x"; Json.Float 0.4 ]);
+           ( "counts",
+             Json.List [ Json.Int 0; Json.String "y"; Json.Int 1; Json.Int 2 ] );
+           ("sum", Json.Float 0.5);
+         ])
+  with
+  | Ok _ -> Alcotest.fail "mistyped entries: unexpectedly accepted"
+  | Error _ -> ()
 
 (* Misuse must fail loudly at registration/update time. *)
 let registry_validation_test () =
